@@ -19,8 +19,10 @@
 //! kernel-level measurements: per-rung stream/collide, equilibrium order
 //! cost, halo pack/unpack, and fabric latency.
 
-pub mod json;
 pub mod paper;
+
+/// The workspace's one JSON module, re-exported for the harness binaries.
+pub use lbm_sim::json;
 
 /// Simple fixed-width table printer for harness output.
 pub struct Table {

@@ -13,27 +13,47 @@
 //!
 //! ## Schedules (paper §V-E/F, Fig. 7/9)
 //!
-//! * [`CommStrategy::Blocking`] — exchange at cycle start, receives completed
-//!   one link at a time (sum of delays).
-//! * [`CommStrategy::NonBlockingEager`] — nonblocking posts, immediate
-//!   waitall (max of delays, zero overlap): the no-ghost NB-C of Fig. 9.
-//! * [`CommStrategy::NonBlockingGhost`] — sends posted at cycle end, waited
-//!   at next cycle start (NB-C & GC).
-//! * [`CommStrategy::OverlapGhostCollide`] — on the last sub-step the border
-//!   planes are collided first, sends posted, and the interior collide
-//!   overlaps the in-flight messages (GC-C, Fig. 7).
+//! Every schedule drives one two-neighbour exchange (`halo::Exchange`):
+//! `post` packs both owned borders, sends them and posts both receives;
+//! `complete` waits for the receives and unpacks them into the halos. A
+//! halo refill — the start of a two-grid cycle, an AA odd step — completes
+//! the exchange in flight, posting it just in time when nothing is. The
+//! schedules differ only in where `post` sits and how `complete` waits:
+//!
+//! * [`CommStrategy::Blocking`] — post at the refill, then complete the
+//!   two receives one at a time (sum of delays).
+//! * [`CommStrategy::NonBlockingEager`] — post at the refill, then one
+//!   waitall (max of delays, zero overlap). Two-grid sub-steps also post
+//!   and complete a mid-step exchange of the destination buffer: the
+//!   no-ghost NB-C of Fig. 9.
+//! * [`CommStrategy::NonBlockingGhost`] — post after the cycle's last
+//!   sub-step (AA: after the even step); the refill completes it
+//!   (NB-C & GC).
+//! * [`CommStrategy::OverlapGhostCollide`] — border-first on the cycle's
+//!   last sub-step (AA: the even step): sweep the owned border planes,
+//!   post, then sweep the ghost regions and the interior while the
+//!   messages fly; the refill completes it (GC-C, Fig. 7).
+//!
+//! The border-first sequence is written once ([`RankSolver`]'s
+//! `border_first`) and runs whatever sweep the rung uses: the split
+//! collide, the fused single pass, either one's boundary-aware scenario
+//! form, or the AA even step. The pieces write disjoint planes and the
+//! post packs only planes that are already final, so the re-ordering is
+//! exact under both serial and rayon-parallel drivers.
+//!
+//! A run that ends before a ghost schedule posts (an AA run ending on an
+//! even step) or a checkpoint restore leaves nothing in flight; the next
+//! refill posts just in time, and since the field has not changed since
+//! the skipped post would have packed it, the payload is bitwise the same.
 //!
 //! ## Fused schedule (`OptLevel::Fused`)
 //!
 //! The fused top rung computes `dst ← collide(pull(src))` in one pass, so
-//! there is no post-stream intermediate to exchange. The Fig. 7 overlap
-//! still applies, re-ordered around the single pass: on the last sub-step
-//! the *border* planes are fused first (their destination values are
-//! complete post-collision state the moment they are written), the halo
-//! sends are posted, and the fused interior + ghost-region sweep overlaps
-//! the messages in flight. All pieces read only `src` and write disjoint
-//! destination planes, so the re-ordering is exact, under both serial and
-//! rayon-parallel drivers.
+//! there is no post-stream intermediate to exchange: border-first fuses
+//! the border planes first (their destination values are complete
+//! post-collision state the moment they are written), and the eager
+//! mid-step exchange ships final-state borders that the next refill
+//! overwrites either way.
 //!
 //! ## AA-pattern storage (`StorageMode::InPlaceAa`)
 //!
@@ -48,13 +68,9 @@
 //!   swapped-direction populations the even step just produced, at any
 //!   configured ghost depth.
 //!
-//! The Fig. 7 border-first overlap carries over: under the GC-C schedule
-//! the even step computes the owned *border* planes first, posts the sends,
-//! and computes the interior while the messages fly; the odd step waits,
-//! unpacks and sweeps. Serial and rayon-parallel AA drivers are bitwise
-//! identical (the odd step's writer↦slot bijection makes chunked execution
-//! conflict-free), so the bitwise serial≡threaded guarantee holds in AA
-//! mode too.
+//! Serial and rayon-parallel AA drivers are bitwise identical (the odd
+//! step's writer↦slot bijection makes chunked execution conflict-free), so
+//! the bitwise serial≡threaded guarantee holds in AA mode too.
 //!
 //! The solver holds **one** population field in AA mode (no `tmp`), halving
 //! resident population memory; see [`RankSolver::resident_population_bytes`].
@@ -69,8 +85,7 @@
 //!   pipeline — pull-stream `[lo, hi)` (all rows, solid included, so walls
 //!   see the arrivals), the eager mid-step exchange when that schedule is
 //!   active, [`BoundarySpec::apply`] over the same region, then the shared
-//!   scalar Guo-forced fluid-row collide ([`kernels::collide_scenario`])
-//!   with the Fig. 7 border-first split when the overlap schedule is on;
+//!   scalar Guo-forced fluid-row collide ([`kernels::collide_scenario`]);
 //! * the `Simd` rung runs the same split pipeline with the AVX2+FMA
 //!   boundary-aware collide (force broadcast into the vectorized moment
 //!   accumulation, `SectionMask`-aware row dispatch);
@@ -78,19 +93,16 @@
 //!   ([`kernels::stream_collide_scenario`]): fluid cells are gathered,
 //!   boundary-transformed-or-collided and stored in one sweep (the scalar
 //!   pass bitwise identical to the split pipeline, the AVX2 pass within
-//!   FMA re-rounding), scheduled exactly like the plain fused rung —
-//!   owned borders fused first, sends posted, ghost + interior fused
-//!   while the messages fly.
+//!   FMA re-rounding).
 //!
 //! Because the boundary spec is rank-local (the decomposition cuts x only),
 //! ghost planes evolve identically to the neighbour's owned planes at any
 //! ghost depth, under every class. Periodic unforced scenarios (e.g.
-//! Taylor–Green) take the fast paths above unchanged.
+//! Taylor–Green) take the plain kernels unchanged.
 
 use std::time::Instant;
 
-use lbm_comm::comm::RecvRequest;
-use lbm_comm::Comm;
+use lbm_comm::{Comm, CommResult};
 use lbm_core::boundary::BoundarySpec;
 use lbm_core::domain::{Decomp1d, Subdomain};
 use lbm_core::equilibrium::EqOrder;
@@ -102,7 +114,7 @@ use lbm_core::prelude::Bgk;
 use lbm_core::{Error, Result};
 
 use crate::config::{CommStrategy, SimConfig};
-use crate::halo::{self, Side};
+use crate::halo::{self, Exchange};
 use crate::scenario::ScenarioHandle;
 
 /// One rank's solver state.
@@ -129,11 +141,10 @@ pub struct RankSolver {
     pool: Option<rayon::ThreadPool>,
     /// Performance counters (owned vs ghost updates, compute time).
     pub counters: PerfCounters,
-    jitter: f64,
-    skew: f64,
+    noise: ComputeNoise,
     cycle: u64,
-    send_buf: Vec<f64>,
-    pending: Vec<RecvRequest>,
+    /// The halo exchange with both neighbours.
+    halo: Exchange,
     /// The pluggable scenario (None = legacy periodic Taylor–Green).
     scenario: Option<ScenarioHandle>,
     /// The scenario's resolved boundary configuration.
@@ -145,6 +156,29 @@ pub struct RankSolver {
 /// Tag-space offset for the no-ghost mid-step (scatter) exchange, keeping it
 /// disjoint from the cycle-boundary halo exchange tags.
 const MIDSTEP_TAG_BASE: u64 = 1 << 40;
+
+/// One kernel sweep of the rank's rung over an x range: the two-grid
+/// sweeps read `f` and write `tmp`, the AA sweeps update `f` in place.
+#[derive(Clone, Copy)]
+enum Sweep {
+    /// Pull-stream (first half of the split pipeline).
+    Stream,
+    /// Plain BGK collide of `tmp`.
+    Collide,
+    /// Boundary-aware Guo-forced collide of `tmp` under body force `g`.
+    CollideScenario([f64; 3]),
+    /// Fused `tmp ← collide(pull(f))`.
+    Fused,
+    /// Boundary-aware fused single pass under body force `g`.
+    FusedScenario([f64; 3]),
+    /// AA even step (cell-local).
+    AaEven([f64; 3]),
+    /// AA odd step over writer planes, reading the halos.
+    AaOdd([f64; 3]),
+    /// AA odd step of a single rank, its x-shift wrapped inside the range
+    /// (see [`lbm_core::kernels::aa::XShift`]).
+    AaOddPeriodic([f64; 3]),
+}
 
 impl RankSolver {
     /// Build the solver for `rank` under `cfg` (assumed validated).
@@ -163,25 +197,16 @@ impl RankSolver {
             StorageMode::InPlaceAa => None,
         };
         let tables = StreamTables::new(owned.ny, owned.nz);
-        let pool = if cfg.threads_per_rank > 1 {
-            Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(cfg.threads_per_rank)
-                    .build()
-                    .expect("rayon pool"),
-            )
-        } else {
-            None
-        };
         let scenario = cfg.scenario.clone();
         let bounds = scenario
             .as_ref()
             .map_or_else(BoundarySpec::periodic, |s| s.boundaries(cfg.global));
+        let strategy = cfg.comm_strategy();
         let mut solver = Self {
             ctx,
             sub,
             level: cfg.level,
-            strategy: cfg.comm_strategy(),
+            strategy,
             storage: cfg.storage,
             k,
             h,
@@ -189,17 +214,11 @@ impl RankSolver {
             f,
             tmp,
             tables,
-            pool,
+            pool: rank_pool(cfg.threads_per_rank)?,
             counters: PerfCounters::new(),
-            jitter: cfg.compute_jitter,
-            skew: if cfg.ranks > 1 {
-                cfg.compute_skew * rank as f64 / (cfg.ranks - 1) as f64
-            } else {
-                0.0
-            },
+            noise: ComputeNoise::new(cfg, rank),
             cycle: 0,
-            send_buf: Vec::new(),
-            pending: Vec::new(),
+            halo: Exchange::new(sub.left(), sub.right(), strategy == CommStrategy::Blocking),
             scenario,
             bounds,
             step_no: 0,
@@ -243,7 +262,7 @@ impl RankSolver {
         }
         self.cycle = 0;
         self.step_no = 0;
-        self.pending.clear();
+        self.halo.clear();
     }
 
     /// Initialise to a global Taylor–Green mode (halos included — trig
@@ -272,7 +291,7 @@ impl RankSolver {
         }
         self.cycle = 0;
         self.step_no = 0;
-        self.pending.clear();
+        self.halo.clear();
     }
 
     /// Time steps completed since initialisation.
@@ -323,424 +342,159 @@ impl RankSolver {
         (lo, hi)
     }
 
-    /// Message tags for the exchange consumed at the start of `cycle`:
-    /// `(to_left, to_right)`.
-    fn tags(cycle: u64) -> (u64, u64) {
-        (cycle * 2, cycle * 2 + 1)
-    }
-
-    /// Run `steps` time steps.
-    pub fn run(&mut self, comm: &mut Comm, steps: usize) {
-        match self.storage {
-            StorageMode::TwoGrid => self.run_two_grid(comm, steps),
-            StorageMode::InPlaceAa => self.run_aa(comm, steps),
-        }
-    }
-
-    /// The two-grid deep-halo cycle loop (see module docs).
-    fn run_two_grid(&mut self, comm: &mut Comm, steps: usize) {
-        let mut done = 0;
-        while done < steps {
-            let in_cycle = self.depth.min(steps - done);
-            self.begin_cycle(comm);
-            for j in 0..in_cycle {
-                self.substep(comm, j, in_cycle);
-            }
-            self.end_cycle(comm);
-            self.cycle += 1;
-            done += in_cycle;
-        }
-    }
-
-    /// The AA-pattern step loop: alternating local even steps and
-    /// exchange-then-sweep odd steps, resuming mid-pair when the step
-    /// count is odd.
-    fn run_aa(&mut self, comm: &mut Comm, steps: usize) {
-        for s in 0..steps {
-            let t0 = Instant::now();
-            let ghost_planes = if self.step_no % 2 == 0 {
-                // Post-ahead only pays off when this run still executes the
-                // pair's odd step; otherwise leave the exchange to the odd
-                // step's just-in-time path (next `run` call, if any) so a
-                // run ending mid-pair never strands posted requests.
-                self.aa_even_step(comm, s + 1 < steps);
-                0
-            } else {
-                self.aa_odd_step(comm)
-            };
-            let noise = self.step_no;
-            self.step_no += 1;
-            if self.step_no % 2 == 0 {
-                self.cycle += 1; // one completed pair
-            }
-            let mut dt = t0.elapsed();
-            if self.jitter > 0.0 || self.skew > 0.0 {
-                let u = jitter_u01(self.sub.rank as u64, noise);
-                let extra = dt.mul_f64(self.jitter * u + self.skew);
-                spin_sleep(extra);
-                dt += extra;
-            }
-            let plane = self.f.alloc_dims().plane() as u64;
-            self.counters
-                .record(self.sub.nx as u64 * plane, ghost_planes as u64 * plane, dt);
-        }
-    }
-
-    /// AA even step: in-place local collide over the owned planes. Under
-    /// the ghost schedules the halo sends for the upcoming odd step are
-    /// posted here (when that odd step runs in this `run` call) — border
-    /// planes first under GC-C, so the interior compute overlaps the
-    /// messages in flight (Fig. 7, re-ordered around the pair).
-    fn aa_even_step(&mut self, comm: &mut Comm, post_ahead: bool) {
-        let (own_lo, own_hi) = self.owned();
-        let g = self.aa_force();
-        let multi = self.sub.ranks > 1 && post_ahead;
-        match self.strategy {
-            CommStrategy::OverlapGhostCollide if multi => {
-                let (border_lo, border_hi) = self.overlap_borders();
-                self.aa_even(border_lo.0, border_lo.1, g);
-                self.aa_even(border_hi.0, border_hi.1, g);
-                self.aa_post_border_sends(comm);
-                self.aa_even(border_lo.1, border_hi.0, g);
-            }
-            CommStrategy::NonBlockingGhost if multi => {
-                self.aa_even(own_lo, own_hi, g);
-                self.aa_post_border_sends(comm);
-            }
-            _ => self.aa_even(own_lo, own_hi, g),
-        }
-    }
-
-    /// AA odd step. Decomposed ranks complete the pair's halo exchange
-    /// (post-even swapped borders, `2k` planes per side), then
-    /// gather/collide/scatter over the writer planes
-    /// `[own_lo − k, own_hi + k)` — the `2k` ghost writer planes are the
-    /// (counted) duplicate compute that buys the once-per-pair exchange
-    /// cadence. A single rank owns the whole periodic axis, so it wraps the
-    /// sweep's x-shift instead: no halo fill, no ghost writer planes, and
-    /// bitwise-identical owned state (see [`lbm_core::kernels::aa::XShift`]).
-    /// Returns the ghost writer planes computed (the duplicate-work count
-    /// fed to the throughput counters).
-    fn aa_odd_step(&mut self, comm: &mut Comm) -> usize {
-        let (own_lo, own_hi) = self.owned();
-        let g = self.aa_force();
-        if self.sub.ranks == 1 {
-            self.aa_odd_periodic(own_lo, own_hi, g);
-            return 0;
-        }
-        {
-            let (to_left, to_right) = Self::tags(self.step_no / 2);
-            let left = self.sub.left();
-            let right = self.sub.right();
-            match self.strategy {
-                CommStrategy::Blocking => {
-                    halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                    comm.send(left, to_left, self.send_buf.clone())
-                        .expect("send");
-                    halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                    comm.send(right, to_right, self.send_buf.clone())
-                        .expect("send");
-                    let from_left = comm.recv(left, to_right).expect("recv");
-                    halo::unpack_halo(&mut self.f, Side::Left, self.h, &from_left);
-                    let from_right = comm.recv(right, to_left).expect("recv");
-                    halo::unpack_halo(&mut self.f, Side::Right, self.h, &from_right);
-                }
-                CommStrategy::NonBlockingEager => {
-                    halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                    let _ = comm
-                        .isend(left, to_left, self.send_buf.clone())
-                        .expect("isend");
-                    halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                    let _ = comm
-                        .isend(right, to_right, self.send_buf.clone())
-                        .expect("isend");
-                    let rl = comm.irecv(left, to_right).expect("irecv");
-                    let rr = comm.irecv(right, to_left).expect("irecv");
-                    let msgs = comm.waitall(vec![rl, rr]).expect("waitall");
-                    halo::unpack_halo(&mut self.f, Side::Left, self.h, &msgs[0]);
-                    halo::unpack_halo(&mut self.f, Side::Right, self.h, &msgs[1]);
-                }
-                CommStrategy::NonBlockingGhost | CommStrategy::OverlapGhostCollide => {
-                    // Sends and receives are normally posted during the
-                    // even step; when the previous `run` call ended on that
-                    // even step nothing was posted (no stranded requests),
-                    // so fall back to a just-in-time exchange here.
-                    let reqs = std::mem::take(&mut self.pending);
-                    if reqs.is_empty() {
-                        self.aa_post_border_sends(comm);
-                    }
-                    let reqs = if reqs.is_empty() {
-                        std::mem::take(&mut self.pending)
-                    } else {
-                        reqs
-                    };
-                    debug_assert_eq!(reqs.len(), 2, "AA ghost schedule must have posted receives");
-                    let msgs = comm.waitall(reqs).expect("waitall");
-                    halo::unpack_halo(&mut self.f, Side::Left, self.h, &msgs[0]);
-                    halo::unpack_halo(&mut self.f, Side::Right, self.h, &msgs[1]);
-                }
-            }
-        }
-        self.aa_odd(own_lo - self.k, own_hi + self.k, g);
-        2 * self.k
-    }
-
-    /// Pack the post-even borders of the single AA field, post the
-    /// nonblocking sends for this pair's odd step, and post the receives.
-    fn aa_post_border_sends(&mut self, comm: &mut Comm) {
-        let (to_left, to_right) = Self::tags(self.step_no / 2);
-        let left = self.sub.left();
-        let right = self.sub.right();
-        halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(left, to_left, self.send_buf.clone())
-            .expect("isend");
-        halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(right, to_right, self.send_buf.clone())
-            .expect("isend");
-        let rl = comm.irecv(left, to_right).expect("irecv");
-        let rr = comm.irecv(right, to_left).expect("irecv");
-        self.pending = vec![rl, rr];
-    }
-
     /// The scenario body force for the step about to run (zero without a
     /// scenario or forcing).
-    fn aa_force(&self) -> [f64; 3] {
+    fn force(&self) -> [f64; 3] {
         self.scenario
             .as_ref()
             .and_then(|s| s.forcing(self.step_no))
             .map_or([0.0; 3], |b| b.g)
     }
 
-    /// In-place AA even sweep over `x ∈ [lo, hi)` at this rank's rung,
-    /// threaded when the rank has a pool — gated at `Dh` and above exactly
-    /// like the two-grid split path, so per-rung AA vs two-grid
-    /// comparisons stay like-for-like (bit-identical to serial either
-    /// way).
-    fn aa_even(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
-        if lo >= hi {
-            return;
+    /// Run `steps` time steps.
+    ///
+    /// # Panics
+    ///
+    /// If a neighbour rank is gone mid-exchange.
+    pub fn run(&mut self, comm: &mut Comm, steps: usize) {
+        match self.storage {
+            StorageMode::TwoGrid => self.run_two_grid(comm, steps),
+            StorageMode::InPlaceAa => self.run_aa(comm, steps),
         }
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::aa_even_scenario_par(
-                    self.level,
-                    &self.ctx,
-                    &mut self.f,
-                    lo,
-                    hi,
-                    g,
-                    &self.bounds,
-                );
-            }),
-            _ => kernels::aa_even_scenario(
-                self.level,
-                &self.ctx,
-                &mut self.f,
-                lo,
-                hi,
-                g,
-                &self.bounds,
-            ),
+        .expect("halo exchange: a neighbour rank is gone");
+    }
+
+    /// The two-grid deep-halo cycle loop (see module docs).
+    fn run_two_grid(&mut self, comm: &mut Comm, steps: usize) -> CommResult<()> {
+        let mut done = 0;
+        while done < steps {
+            let in_cycle = self.depth.min(steps - done);
+            if self.cycle > 0 {
+                // (Cycle 0's halos are valid from initialisation.)
+                self.refill_halos(comm)?;
+            }
+            for j in 0..in_cycle {
+                self.substep(comm, j, in_cycle)?;
+            }
+            self.cycle += 1;
+            done += in_cycle;
+            if self.strategy == CommStrategy::NonBlockingGhost && self.sub.ranks > 1 {
+                // Post the next cycle's exchange now; the gap to its
+                // completion is NB-C & GC's (limited) overlap window.
+                self.post_borders(comm, false)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The AA-pattern step loop: alternating local even steps and
+    /// exchange-then-sweep odd steps, resuming mid-pair when the step
+    /// count is odd.
+    fn run_aa(&mut self, comm: &mut Comm, steps: usize) -> CommResult<()> {
+        for s in 0..steps {
+            let t0 = Instant::now();
+            let ghost_planes = if self.step_no % 2 == 0 {
+                // Post-ahead only pays off when this run still executes the
+                // pair's odd step; otherwise that odd step posts just in
+                // time (next `run` call, if any), so a run ending mid-pair
+                // never strands posted requests.
+                self.aa_even_step(comm, s + 1 < steps)?;
+                0
+            } else {
+                self.aa_odd_step(comm)?
+            };
+            let seed = self.step_no;
+            self.step_no += 1;
+            if self.step_no % 2 == 0 {
+                self.cycle += 1; // one completed pair
+            }
+            let plane = self.f.alloc_dims().plane() as u64;
+            self.noise.finish_step(
+                &mut self.counters,
+                t0,
+                seed,
+                self.sub.nx as u64 * plane,
+                ghost_planes as u64 * plane,
+            );
+        }
+        Ok(())
+    }
+
+    /// AA even step: in-place local collide over the owned planes. Under
+    /// the ghost schedules the exchange for the upcoming odd step is posted
+    /// here when that odd step runs in this `run` call — border-first under
+    /// GC-C (Fig. 7, re-ordered around the pair).
+    fn aa_even_step(&mut self, comm: &mut Comm, post_ahead: bool) -> CommResult<()> {
+        let (own_lo, own_hi) = self.owned();
+        let even = Sweep::AaEven(self.force());
+        let ahead = self.sub.ranks > 1 && post_ahead;
+        match self.strategy {
+            CommStrategy::OverlapGhostCollide if ahead => {
+                self.border_first(comm, own_lo, own_hi, even)
+            }
+            CommStrategy::NonBlockingGhost if ahead => {
+                self.sweep(even, own_lo, own_hi);
+                self.post_borders(comm, false)
+            }
+            _ => {
+                self.sweep(even, own_lo, own_hi);
+                Ok(())
+            }
         }
     }
 
-    /// In-place AA odd sweep over writer planes `x ∈ [lo, hi)`, threaded
-    /// when the rank has a pool (same `Dh`-and-above gate as
-    /// [`Self::aa_even`]; bit-identical to serial).
-    fn aa_odd(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
-        if lo >= hi {
-            return;
+    /// AA odd step. Decomposed ranks refill the halos (post-even swapped
+    /// borders, `2k` planes per side), then gather/collide/scatter over the
+    /// writer planes `[own_lo − k, own_hi + k)` — the `2k` ghost writer
+    /// planes are the (counted) duplicate compute that buys the
+    /// once-per-pair exchange cadence. A single rank owns the whole
+    /// periodic axis, so it wraps the sweep's x-shift instead: no halo
+    /// fill, no ghost writer planes, and bitwise-identical owned state.
+    /// Returns the ghost writer planes computed (the duplicate-work count
+    /// fed to the throughput counters).
+    fn aa_odd_step(&mut self, comm: &mut Comm) -> CommResult<usize> {
+        let (own_lo, own_hi) = self.owned();
+        let g = self.force();
+        if self.sub.ranks == 1 {
+            self.sweep(Sweep::AaOddPeriodic(g), own_lo, own_hi);
+            return Ok(0);
         }
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::aa_odd_scenario_par(
-                    self.level,
-                    &self.ctx,
-                    &self.tables,
-                    &mut self.f,
-                    lo,
-                    hi,
-                    g,
-                    &self.bounds,
-                );
-            }),
-            _ => kernels::aa_odd_scenario(
-                self.level,
-                &self.ctx,
-                &self.tables,
-                &mut self.f,
-                lo,
-                hi,
-                g,
-                &self.bounds,
-            ),
-        }
+        self.refill_halos(comm)?;
+        self.sweep(Sweep::AaOdd(g), own_lo - self.k, own_hi + self.k);
+        Ok(2 * self.k)
     }
 
-    /// Single-rank periodic AA odd sweep over the owned planes
-    /// `x ∈ [lo, hi)` — the x-shift wraps inside the range, so no ghost
-    /// plane is read or written (same threading gate as [`Self::aa_odd`];
-    /// bit-identical to serial).
-    fn aa_odd_periodic(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
-        if lo >= hi {
-            return;
-        }
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::aa_odd_scenario_periodic_par(
-                    self.level,
-                    &self.ctx,
-                    &self.tables,
-                    &mut self.f,
-                    lo,
-                    hi,
-                    g,
-                    &self.bounds,
-                );
-            }),
-            _ => kernels::aa_odd_scenario_periodic(
-                self.level,
-                &self.ctx,
-                &self.tables,
-                &mut self.f,
-                lo,
-                hi,
-                g,
-                &self.bounds,
-            ),
-        }
-    }
-
-    fn begin_cycle(&mut self, comm: &mut Comm) {
-        if self.cycle == 0 {
-            return; // halos valid from initialisation
-        }
+    /// Refill both halos of `f`: a single rank wraps its own borders; a
+    /// decomposed rank completes the exchange in flight, posting it just in
+    /// time when nothing is (see module docs).
+    fn refill_halos(&mut self, comm: &mut Comm) -> CommResult<()> {
         if self.sub.ranks == 1 {
             halo::fill_periodic_self(&mut self.f, self.h);
-            return;
+            return Ok(());
         }
-        let (to_left, to_right) = Self::tags(self.cycle);
-        let left = self.sub.left();
-        let right = self.sub.right();
-        match self.strategy {
-            CommStrategy::Blocking => {
-                // Send both borders, then complete receives one at a time
-                // (the naive sum-of-delays pattern).
-                halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                comm.send(left, to_left, self.send_buf.clone())
-                    .expect("send");
-                halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                comm.send(right, to_right, self.send_buf.clone())
-                    .expect("send");
-                // My left halo comes from my left neighbour's to_right send.
-                let from_left = comm.recv(left, to_right).expect("recv");
-                halo::unpack_halo(&mut self.f, Side::Left, self.h, &from_left);
-                let from_right = comm.recv(right, to_left).expect("recv");
-                halo::unpack_halo(&mut self.f, Side::Right, self.h, &from_right);
-            }
-            CommStrategy::NonBlockingEager => {
-                // Nonblocking posts but an immediate waitall: zero overlap.
-                halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                let _ = comm
-                    .isend(left, to_left, self.send_buf.clone())
-                    .expect("isend");
-                halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                let _ = comm
-                    .isend(right, to_right, self.send_buf.clone())
-                    .expect("isend");
-                let rl = comm.irecv(left, to_right).expect("irecv");
-                let rr = comm.irecv(right, to_left).expect("irecv");
-                let msgs = comm.waitall(vec![rl, rr]).expect("waitall");
-                halo::unpack_halo(&mut self.f, Side::Left, self.h, &msgs[0]);
-                halo::unpack_halo(&mut self.f, Side::Right, self.h, &msgs[1]);
-            }
-            CommStrategy::NonBlockingGhost | CommStrategy::OverlapGhostCollide => {
-                // Sends were posted at the end of the previous cycle —
-                // except on the first cycle after a checkpoint restore,
-                // where nothing is in flight (restores never strand posted
-                // requests). Fall back to a just-in-time exchange of the
-                // current borders: `f` has not changed since the previous
-                // cycle's sends would have packed it, so the payload is
-                // bitwise the one the pre-posted schedule carries.
-                let mut reqs = std::mem::take(&mut self.pending);
-                if reqs.is_empty() {
-                    halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                    let _ = comm
-                        .isend(left, to_left, self.send_buf.clone())
-                        .expect("isend");
-                    halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                    let _ = comm
-                        .isend(right, to_right, self.send_buf.clone())
-                        .expect("isend");
-                    reqs = vec![
-                        comm.irecv(left, to_right).expect("irecv"),
-                        comm.irecv(right, to_left).expect("irecv"),
-                    ];
-                }
-                debug_assert_eq!(reqs.len(), 2, "ghost schedule must have posted receives");
-                let msgs = comm.waitall(reqs).expect("waitall");
-                halo::unpack_halo(&mut self.f, Side::Left, self.h, &msgs[0]);
-                halo::unpack_halo(&mut self.f, Side::Right, self.h, &msgs[1]);
-            }
+        if !self.halo.is_pending() {
+            self.post_borders(comm, false)?;
         }
+        let (f, h) = (&mut self.f, self.h);
+        self.halo
+            .complete(comm, |side, data| halo::unpack_halo(f, side, h, data))
     }
 
-    fn end_cycle(&mut self, comm: &mut Comm) {
-        if self.sub.ranks == 1 {
-            return;
-        }
-        match self.strategy {
-            CommStrategy::Blocking | CommStrategy::NonBlockingEager => {}
-            CommStrategy::NonBlockingGhost => {
-                // Post sends and receives for the next cycle now; the gap to
-                // the next cycle's waitall is the (limited) overlap window.
-                let (to_left, to_right) = Self::tags(self.cycle + 1);
-                let left = self.sub.left();
-                let right = self.sub.right();
-                halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                let _ = comm
-                    .isend(left, to_left, self.send_buf.clone())
-                    .expect("isend");
-                halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                let _ = comm
-                    .isend(right, to_right, self.send_buf.clone())
-                    .expect("isend");
-                self.post_receives(comm);
-            }
-            CommStrategy::OverlapGhostCollide => {
-                // Sends already posted inside the last sub-step; receives too.
-                debug_assert_eq!(self.pending.len(), 2);
-            }
-        }
-    }
-
-    fn post_receives(&mut self, comm: &mut Comm) {
-        let (to_left, to_right) = Self::tags(self.cycle + 1);
-        let left = self.sub.left();
-        let right = self.sub.right();
-        let rl = comm.irecv(left, to_right).expect("irecv");
-        let rr = comm.irecv(right, to_left).expect("irecv");
-        self.pending = vec![rl, rr];
-    }
-
-    /// GC-C send posting: pack the freshly-updated borders of `tmp`, post
-    /// the nonblocking sends for the next cycle, and post the receives.
-    fn post_border_sends(&mut self, comm: &mut Comm) {
-        let (to_left, to_right) = Self::tags(self.cycle + 1);
-        let left = self.sub.left();
-        let right = self.sub.right();
-        let tmp = self.tmp.as_ref().expect("two-grid destination buffer");
-        halo::pack_border(tmp, Side::Left, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(left, to_left, self.send_buf.clone())
-            .expect("isend");
-        halo::pack_border(tmp, Side::Right, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(right, to_right, self.send_buf.clone())
-            .expect("isend");
-        self.post_receives(comm);
+    /// Post the exchange the next halo refill consumes. Outside a step it
+    /// packs `f`; from inside a step (`in_step`) it packs the borders just
+    /// computed, which a two-grid sub-step holds in `tmp` for the next
+    /// cycle. Two-grid exchanges are numbered by the cycle that consumes
+    /// them, AA exchanges by their even/odd pair.
+    fn post_borders(&mut self, comm: &mut Comm, in_step: bool) -> CommResult<()> {
+        let (src, seq) = match (&self.tmp, self.storage) {
+            (Some(tmp), _) if in_step => (tmp, self.cycle + 1),
+            (_, StorageMode::TwoGrid) => (&self.f, self.cycle),
+            (_, StorageMode::InPlaceAa) => (&self.f, self.step_no / 2),
+        };
+        let h = self.h;
+        self.halo.post(comm, (seq * 2, seq * 2 + 1), |side, buf| {
+            halo::pack_border(src, side, h, buf)
+        })
     }
 
     /// The no-ghost-cells mid-step exchange (paper's bare NB-C): in push
@@ -748,159 +502,81 @@ impl RankSolver {
     /// very step, so the exchange sits mid-step with zero overlap window.
     /// We exchange the current `tmp` borders and wait immediately — the
     /// unhideable stall that the GC rungs remove.
-    fn midstep_exchange(&mut self, comm: &mut Comm, j: usize) {
-        let step_tag = MIDSTEP_TAG_BASE + self.cycle * 64 + j as u64;
-        let left = self.sub.left();
-        let right = self.sub.right();
+    fn midstep_exchange(&mut self, comm: &mut Comm, j: usize) -> CommResult<()> {
+        let tag = MIDSTEP_TAG_BASE + self.cycle * 64 + j as u64;
+        let h = self.h;
         let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        halo::pack_border(tmp, Side::Left, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(left, step_tag, self.send_buf.clone())
-            .expect("isend");
-        halo::pack_border(tmp, Side::Right, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(right, step_tag + 32, self.send_buf.clone())
-            .expect("isend");
-        let rl = comm.irecv(left, step_tag + 32).expect("irecv");
-        let rr = comm.irecv(right, step_tag).expect("irecv");
-        let msgs = comm.waitall(vec![rl, rr]).expect("waitall");
-        halo::unpack_halo(tmp, Side::Left, self.h, &msgs[0]);
-        halo::unpack_halo(tmp, Side::Right, self.h, &msgs[1]);
+        self.halo.post(comm, (tag, tag + 32), |side, buf| {
+            halo::pack_border(tmp, side, h, buf)
+        })?;
+        self.halo
+            .complete(comm, |side, data| halo::unpack_halo(tmp, side, h, data))
     }
 
-    /// The owned-region border split used by the Fig. 7 overlap:
-    /// `(left border, right border)` in allocation coordinates.
-    fn overlap_borders(&self) -> ((usize, usize), (usize, usize)) {
+    /// The Fig. 7 border-first sequence over the compute region `[lo, hi)`:
+    /// sweep the owned border planes, post their exchange, then sweep the
+    /// ghost regions and the interior while the messages fly.
+    fn border_first(
+        &mut self,
+        comm: &mut Comm,
+        lo: usize,
+        hi: usize,
+        sweep: Sweep,
+    ) -> CommResult<()> {
         let (own_lo, own_hi) = self.owned();
         let b = self.h.min((own_hi - own_lo).div_ceil(2));
-        ((own_lo, own_lo + b), ((own_hi - b).max(own_lo + b), own_hi))
+        let (left_end, right_start) = (own_lo + b, (own_hi - b).max(own_lo + b));
+        self.sweep(sweep, own_lo, left_end);
+        self.sweep(sweep, right_start, own_hi);
+        self.post_borders(comm, true)?;
+        self.sweep(sweep, lo, own_lo);
+        self.sweep(sweep, left_end, right_start);
+        self.sweep(sweep, own_hi, hi);
+        Ok(())
     }
 
-    fn substep(&mut self, comm: &mut Comm, j: usize, in_cycle: usize) {
+    /// Sub-step `j` of a two-grid cycle of `in_cycle` steps: sweep the
+    /// sub-step's region (border-first on a GC-C cycle's last sub-step),
+    /// then swap the buffers.
+    fn substep(&mut self, comm: &mut Comm, j: usize, in_cycle: usize) -> CommResult<()> {
         let t0 = Instant::now();
         let (lo, hi) = self.region(j);
-        let (own_lo, own_hi) = self.owned();
-        let overlap_now = self.strategy == CommStrategy::OverlapGhostCollide
-            && j + 1 == in_cycle
-            && self.sub.ranks > 1;
-        let force = self
-            .scenario
-            .as_ref()
-            .and_then(|s| s.forcing(self.step_no))
-            .map_or([0.0; 3], |b| b.g);
-        let plain = self.bounds.is_periodic() && force == [0.0; 3];
-
-        if !plain {
-            if self.level.kernel_class() == KernelClass::Fused {
-                // Scenario single-pass schedule: the boundary-aware fused
-                // kernel writes complete post-boundary/post-collision
-                // planes (wall rows transformed, masked cells bounced,
-                // fluid cells Guo-collided), so the Fig. 7 overlap applies
-                // exactly as on the plain fused path.
-                if overlap_now {
-                    let (border_lo, border_hi) = self.overlap_borders();
-                    self.fused_scenario(border_lo.0, border_lo.1, force);
-                    self.fused_scenario(border_hi.0, border_hi.1, force);
-                    self.post_border_sends(comm);
-                    self.fused_scenario(lo, own_lo, force);
-                    self.fused_scenario(border_lo.1, border_hi.0, force);
-                    self.fused_scenario(own_hi, hi, force);
-                } else {
-                    self.fused_scenario(lo, hi, force);
-                    if self.strategy == CommStrategy::NonBlockingEager && self.sub.ranks > 1 {
-                        // The eager emulation pays its mid-step stall; as on
-                        // the plain fused path the exchanged borders are
-                        // final-state, which the next cycle's boundary
-                        // exchange overwrites either way.
-                        self.midstep_exchange(comm, j);
-                    }
+        let multi = self.sub.ranks > 1;
+        let eager = multi && self.strategy == CommStrategy::NonBlockingEager;
+        let g = self.force();
+        let plain = self.bounds.is_periodic() && g == [0.0; 3];
+        let fused = self.level.kernel_class() == KernelClass::Fused;
+        let sweep = match (fused, plain) {
+            (true, true) => Sweep::Fused,
+            (true, false) => Sweep::FusedScenario(g),
+            (false, _) => {
+                // Split pipeline: stream everything (solid rows included, so
+                // walls see the arrivals), exchange the pre-boundary
+                // post-stream borders under the eager schedule (both sides
+                // pack pre-boundary state, so ghost planes stay consistent),
+                // and transform wall rows and masked cells over the same
+                // region; the collide follows.
+                self.sweep(Sweep::Stream, lo, hi);
+                if eager {
+                    self.midstep_exchange(comm, j)?;
                 }
-            } else {
-                // Scenario split pipeline (see module docs). Stream
-                // everything (solid rows included, so walls see the
-                // arrivals)…
-                self.stream(lo, hi);
-                if self.strategy == CommStrategy::NonBlockingEager && self.sub.ranks > 1 {
-                    // …exchange the pre-boundary post-stream borders (both
-                    // sides pack pre-boundary state, so ghost planes stay
-                    // consistent)…
-                    self.midstep_exchange(comm, j);
+                if !plain {
+                    let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
+                    self.bounds.apply(&self.ctx, tmp, lo, hi);
                 }
-                // …transform wall rows and masked cells over the same region…
-                let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-                self.bounds.apply(&self.ctx, tmp, lo, hi);
-                if overlap_now {
-                    // …then the Fig. 7 overlap: collide the owned borders
-                    // first (their fluid rows are final after this — solid
-                    // rows were finalised by the boundary transform), post
-                    // the sends, and collide the rest while the messages
-                    // fly.
-                    let (border_lo, border_hi) = self.overlap_borders();
-                    self.collide_scenario(border_lo.0, border_lo.1, force);
-                    self.collide_scenario(border_hi.0, border_hi.1, force);
-                    self.post_border_sends(comm);
-                    self.collide_scenario(lo, own_lo, force);
-                    self.collide_scenario(border_lo.1, border_hi.0, force);
-                    self.collide_scenario(own_hi, hi, force);
+                if plain {
+                    Sweep::Collide
                 } else {
-                    self.collide_scenario(lo, hi, force);
+                    Sweep::CollideScenario(g)
                 }
             }
-        } else if self.level.kernel_class() == KernelClass::Fused {
-            // Single-pass schedule: the fused kernel writes complete
-            // post-collision planes, so the Fig. 7 overlap computes the
-            // owned borders first, posts the sends, and fuses the rest
-            // (ghost regions + interior) while the messages fly. Pieces
-            // read only `f` and write disjoint `tmp` planes, so any order
-            // produces the identical field.
-            if overlap_now {
-                let (border_lo, border_hi) = self.overlap_borders();
-                self.fused(border_lo.0, border_lo.1);
-                self.fused(border_hi.0, border_hi.1);
-                self.post_border_sends(comm);
-                self.fused(lo, own_lo);
-                self.fused(border_lo.1, border_hi.0);
-                self.fused(own_hi, hi);
-            } else {
-                self.fused(lo, hi);
-                if self.strategy == CommStrategy::NonBlockingEager && self.sub.ranks > 1 {
-                    // The eager emulation still pays its mid-step stall; the
-                    // exchanged borders are post-collision here (there is no
-                    // post-stream intermediate), which the next cycle's
-                    // boundary exchange overwrites either way.
-                    self.midstep_exchange(comm, j);
-                }
-            }
+        };
+        if multi && self.strategy == CommStrategy::OverlapGhostCollide && j + 1 == in_cycle {
+            self.border_first(comm, lo, hi, sweep)?;
         } else {
-            self.stream(lo, hi);
-
-            if self.strategy == CommStrategy::NonBlockingEager && self.sub.ranks > 1 {
-                self.midstep_exchange(comm, j);
-            }
-
-            if overlap_now {
-                // GC-C (paper Fig. 7): collide the border planes of the
-                // *owned* region first so their new state can be sent
-                // immediately…
-                let (border_lo, border_hi) = self.overlap_borders();
-                self.collide(border_lo.0, border_lo.1);
-                if border_hi.0 < border_hi.1 {
-                    self.collide(border_hi.0, border_hi.1);
-                }
-                self.post_border_sends(comm);
-                // …then collide everything else while the messages fly: the
-                // ghost-region planes plus the interior.
-                if lo < own_lo {
-                    self.collide(lo, own_lo);
-                }
-                if border_lo.1 < border_hi.0 {
-                    self.collide(border_lo.1, border_hi.0);
-                }
-                if own_hi < hi {
-                    self.collide(own_hi, hi);
-                }
-            } else {
-                self.collide(lo, hi);
+            self.sweep(sweep, lo, hi);
+            if fused && eager {
+                self.midstep_exchange(comm, j)?;
             }
         }
 
@@ -910,109 +586,81 @@ impl RankSolver {
         );
         self.step_no += 1;
 
-        let mut dt = t0.elapsed();
-        if self.jitter > 0.0 || self.skew > 0.0 {
-            let u = jitter_u01(self.sub.rank as u64, self.cycle * 64 + j as u64);
-            let extra = dt.mul_f64(self.jitter * u + self.skew);
-            spin_sleep(extra);
-            dt += extra;
-        }
+        let (own_lo, own_hi) = self.owned();
         let plane = self.f.alloc_dims().plane() as u64;
-        let owned_cells = (own_hi - own_lo) as u64 * plane;
-        let ghost_cells = ((hi - lo) as u64 - (own_hi - own_lo) as u64) * plane;
-        self.counters.record(owned_cells, ghost_cells, dt);
+        let owned = (own_hi - own_lo) as u64;
+        self.noise.finish_step(
+            &mut self.counters,
+            t0,
+            self.cycle * 64 + j as u64,
+            owned * plane,
+            ((hi - lo) as u64 - owned) * plane,
+        );
+        Ok(())
     }
 
-    fn stream(&mut self, lo: usize, hi: usize) {
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::par::stream_par(&self.ctx, &self.tables, &self.f, tmp, lo, hi);
-            }),
-            _ => kernels::stream(self.level, &self.ctx, &self.tables, &self.f, tmp, lo, hi),
-        }
-    }
-
-    fn collide(&mut self, lo: usize, hi: usize) {
+    /// Run one [`Sweep`] over `x ∈ [lo, hi)`, threaded when the rank has a
+    /// pool and its rung is `Dh` or above (bit-identical to serial either
+    /// way, so per-rung comparisons stay like-for-like).
+    fn sweep(&mut self, sweep: Sweep, lo: usize, hi: usize) {
         if lo >= hi {
             return;
         }
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::par::collide_par(&self.ctx, tmp, lo, hi);
-            }),
-            _ => kernels::collide(self.level, &self.ctx, tmp, lo, hi),
-        }
-    }
-
-    /// Scenario collide: BGK + Guo forcing over the fluid cells of
-    /// `x ∈ [lo, hi)` (wall rows and masked cells skipped), running the
-    /// rung's kernel class (scalar below `Simd`, AVX2+FMA at `Simd` and
-    /// above) and threaded when the rank has a pool — bit-identical to
-    /// serial either way.
-    fn collide_scenario(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
-        if lo >= hi {
-            return;
-        }
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::collide_scenario_par(self.level, &self.ctx, tmp, lo, hi, g, &self.bounds);
-            }),
-            _ => kernels::collide_scenario(self.level, &self.ctx, tmp, lo, hi, g, &self.bounds),
-        }
-    }
-
-    /// One boundary-aware fused pass `tmp ← boundary+collide(pull(f))` over
-    /// `x ∈ [lo, hi)` — the scenario form of [`Self::fused`], threaded when
-    /// the rank has a pool (bit-identical to serial).
-    fn fused_scenario(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
-        if lo >= hi {
-            return;
-        }
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        match &self.pool {
-            Some(pool) => pool.install(|| {
-                kernels::stream_collide_scenario_par(
-                    &self.ctx,
-                    &self.tables,
-                    &self.f,
-                    tmp,
-                    lo,
-                    hi,
-                    g,
-                    &self.bounds,
-                );
-            }),
-            None => kernels::stream_collide_scenario(
-                &self.ctx,
-                &self.tables,
-                &self.f,
-                tmp,
-                lo,
-                hi,
-                g,
-                &self.bounds,
-            ),
-        }
-    }
-
-    /// One fused stream+collide pass `tmp ← collide(pull(f))` over
-    /// `x ∈ [lo, hi)`, threaded when the rank has a pool.
-    fn fused(&mut self, lo: usize, hi: usize) {
-        if lo >= hi {
-            return;
-        }
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        match &self.pool {
-            Some(pool) => pool.install(|| {
-                kernels::par::stream_collide_par(&self.ctx, &self.tables, &self.f, tmp, lo, hi);
-            }),
-            None => {
-                kernels::stream_collide(self.level, &self.ctx, &self.tables, &self.f, tmp, lo, hi)
+        let Self {
+            level,
+            ctx,
+            tables,
+            bounds,
+            f,
+            tmp,
+            pool,
+            ..
+        } = self;
+        let level = *level;
+        let pool = pool.as_ref().filter(|_| level >= OptLevel::Dh);
+        on_pool(pool, |par| match (sweep, tmp.as_mut()) {
+            (Sweep::Stream, Some(dst)) if par => {
+                kernels::par::stream_par(ctx, tables, f, dst, lo, hi);
             }
-        }
+            (Sweep::Stream, Some(dst)) => kernels::stream(level, ctx, tables, f, dst, lo, hi),
+            (Sweep::Collide, Some(dst)) if par => kernels::par::collide_par(ctx, dst, lo, hi),
+            (Sweep::Collide, Some(dst)) => kernels::collide(level, ctx, dst, lo, hi),
+            (Sweep::CollideScenario(g), Some(dst)) if par => {
+                kernels::collide_scenario_par(level, ctx, dst, lo, hi, g, bounds);
+            }
+            (Sweep::CollideScenario(g), Some(dst)) => {
+                kernels::collide_scenario(level, ctx, dst, lo, hi, g, bounds);
+            }
+            (Sweep::Fused, Some(dst)) if par => {
+                kernels::par::stream_collide_par(ctx, tables, f, dst, lo, hi);
+            }
+            (Sweep::Fused, Some(dst)) => {
+                kernels::stream_collide(level, ctx, tables, f, dst, lo, hi);
+            }
+            (Sweep::FusedScenario(g), Some(dst)) if par => {
+                kernels::stream_collide_scenario_par(ctx, tables, f, dst, lo, hi, g, bounds);
+            }
+            (Sweep::FusedScenario(g), Some(dst)) => {
+                kernels::stream_collide_scenario(ctx, tables, f, dst, lo, hi, g, bounds);
+            }
+            (Sweep::AaEven(g), _) if par => {
+                kernels::aa_even_scenario_par(level, ctx, f, lo, hi, g, bounds);
+            }
+            (Sweep::AaEven(g), _) => kernels::aa_even_scenario(level, ctx, f, lo, hi, g, bounds),
+            (Sweep::AaOdd(g), _) if par => {
+                kernels::aa_odd_scenario_par(level, ctx, tables, f, lo, hi, g, bounds);
+            }
+            (Sweep::AaOdd(g), _) => {
+                kernels::aa_odd_scenario(level, ctx, tables, f, lo, hi, g, bounds);
+            }
+            (Sweep::AaOddPeriodic(g), _) if par => {
+                kernels::aa_odd_scenario_periodic_par(level, ctx, tables, f, lo, hi, g, bounds);
+            }
+            (Sweep::AaOddPeriodic(g), _) => {
+                kernels::aa_odd_scenario_periodic(level, ctx, tables, f, lo, hi, g, bounds);
+            }
+            (_, None) => unreachable!("two-grid sweep without a destination buffer"),
+        });
     }
 
     /// Owned-region mass and momentum, summed across ranks.
@@ -1059,25 +707,18 @@ impl RankSolver {
     pub fn owned_snapshot(&self) -> DistField {
         let owned = self.sub.owned();
         let mut out = DistField::new(self.ctx.lat.q(), owned, 0).expect("snapshot alloc");
-        let ds = self.f.alloc_dims();
-        let dd = out.alloc_dims();
+        let (at, n) = (self.f.alloc_dims().idx(self.h, 0, 0), owned.len());
         for i in 0..self.ctx.lat.q() {
-            for x in 0..owned.nx {
-                let s = ds.idx(x + self.h, 0, 0);
-                let t = dd.idx(x, 0, 0);
-                let row = self.f.slab(i)[s..s + ds.plane()].to_vec();
-                out.slab_mut(i)[t..t + dd.plane()].copy_from_slice(&row);
-            }
+            out.slab_mut(i).copy_from_slice(&self.f.slab(i)[at..at + n]);
         }
         out
     }
 
     /// Restore this rank from a checkpointed owned snapshot: overwrite the
     /// owned planes with `snap` (halo-free, bitwise) and fast-forward the
-    /// step/cycle counters. Pending receives are cleared — the first cycle
-    /// (or odd AA step) after a restore re-exchanges halos just in time,
-    /// which the deep-halo invariant makes bitwise-equivalent to the
-    /// uninterrupted schedule.
+    /// step/cycle counters. Nothing is left in flight — the first halo
+    /// refill after a restore posts just in time, which the deep-halo
+    /// invariant makes bitwise-equivalent to the uninterrupted schedule.
     pub fn restore_owned(&mut self, snap: &DistField, step_no: u64, cycle: u64) -> Result<()> {
         let owned = self.sub.owned();
         if snap.q() != self.ctx.lat.q() || snap.owned_dims() != owned || snap.halo() != 0 {
@@ -1091,19 +732,13 @@ impl RankSolver {
                 owned,
             )));
         }
-        let ds = self.f.alloc_dims();
-        let dd = snap.alloc_dims();
+        let (at, n) = (self.f.alloc_dims().idx(self.h, 0, 0), owned.len());
         for i in 0..self.ctx.lat.q() {
-            for x in 0..owned.nx {
-                let t = ds.idx(x + self.h, 0, 0);
-                let s = dd.idx(x, 0, 0);
-                let row = snap.slab(i)[s..s + dd.plane()].to_vec();
-                self.f.slab_mut(i)[t..t + ds.plane()].copy_from_slice(&row);
-            }
+            self.f.slab_mut(i)[at..at + n].copy_from_slice(snap.slab(i));
         }
         self.step_no = step_no;
         self.cycle = cycle;
-        self.pending.clear();
+        self.halo.clear();
         self.reset_counters();
         Ok(())
     }
@@ -1130,8 +765,73 @@ impl RankSolver {
     }
 }
 
+/// The rank's own rayon pool when it runs more than one thread.
+pub(crate) fn rank_pool(threads: usize) -> Result<Option<rayon::ThreadPool>> {
+    (threads > 1)
+        .then(|| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .map_err(|e| Error::BadParameter(format!("rayon pool: {e}")))
+        })
+        .transpose()
+}
+
+/// Run `work` inside `pool` when there is one, telling it whether to pick
+/// the threaded kernels.
+pub(crate) fn on_pool<R>(pool: Option<&rayon::ThreadPool>, work: impl FnOnce(bool) -> R) -> R {
+    match pool {
+        Some(p) => p.install(|| work(true)),
+        None => work(false),
+    }
+}
+
+/// A rank's emulated compute noise — per-step hash jitter plus a skew that
+/// grows linearly with the rank (the load imbalance behind the Fig. 9 wait
+/// spread) — and the per-step accounting it stretches.
+pub(crate) struct ComputeNoise {
+    rank: u64,
+    jitter: f64,
+    skew: f64,
+}
+
+impl ComputeNoise {
+    pub(crate) fn new(cfg: &SimConfig, rank: usize) -> Self {
+        let skew = if cfg.ranks > 1 {
+            cfg.compute_skew * rank as f64 / (cfg.ranks - 1) as f64
+        } else {
+            0.0
+        };
+        Self {
+            rank: rank as u64,
+            jitter: cfg.compute_jitter,
+            skew,
+        }
+    }
+
+    /// Close the step begun at `t0`: stretch it by the configured noise
+    /// (drawn deterministically from `seed`) and record it in `counters`
+    /// with its owned and ghost cell updates.
+    pub(crate) fn finish_step(
+        &self,
+        counters: &mut PerfCounters,
+        t0: Instant,
+        seed: u64,
+        owned: u64,
+        ghost: u64,
+    ) {
+        let mut dt = t0.elapsed();
+        if self.jitter > 0.0 || self.skew > 0.0 {
+            let extra = dt.mul_f64(self.jitter * jitter_u01(self.rank, seed) + self.skew);
+            spin_sleep(extra);
+            dt += extra;
+        }
+        counters.record(owned, ghost, dt);
+    }
+}
+
 /// Deterministic `[0,1)` hash noise for compute jitter.
-pub(crate) fn jitter_u01(rank: u64, step: u64) -> f64 {
+fn jitter_u01(rank: u64, step: u64) -> f64 {
     let mut x = rank
         .wrapping_mul(0x9E3779B97F4A7C15)
         .wrapping_add(step)
@@ -1142,7 +842,7 @@ pub(crate) fn jitter_u01(rank: u64, step: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-pub(crate) fn spin_sleep(d: std::time::Duration) {
+fn spin_sleep(d: std::time::Duration) {
     let deadline = Instant::now() + d;
     while Instant::now() < deadline {
         std::hint::spin_loop();

@@ -1,11 +1,19 @@
-//! Border pack/unpack with message aggregation.
+//! Border pack/unpack with message aggregation, and the two-neighbour
+//! exchange every rank schedule runs.
 //!
 //! The paper stores each velocity's distribution contiguously precisely so
 //! that border exchange can aggregate *all* velocities into one message per
 //! neighbour (§IV: "to maximize messaging performance"). A packed border of
 //! width `h` planes is laid out `[velocity][plane][y][z]`, and since planes
 //! are contiguous `ny·nz` runs, packing is `Q·h` slice copies.
+//!
+//! `Exchange` is the one place messages are sent: `Exchange::post`
+//! packs and sends both borders and posts both receives,
+//! `Exchange::complete` waits and unpacks. Received payloads become the
+//! next send buffers, so a steady exchange allocates no payload and copies
+//! nothing beyond the pack and unpack.
 
+use lbm_comm::{Comm, CommResult, RecvRequest};
 use lbm_core::field::DistField;
 
 /// Which side of the subdomain a border/halo is on.
@@ -86,6 +94,93 @@ pub fn fill_periodic_self(f: &mut DistField, h: usize) {
     unpack_halo(f, Side::Left, h, &buf);
     pack_border(f, Side::Left, h, &mut buf);
     unpack_halo(f, Side::Right, h, &buf);
+}
+
+/// One rank's exchange with its left and right neighbours.
+///
+/// A message to the left travels under the `to_left` tag and one to the
+/// right under `to_right`, so the two payloads of a 2-rank ring (where
+/// left and right are the same rank) cannot cross.
+pub(crate) struct Exchange {
+    left: usize,
+    right: usize,
+    /// Complete the receives one at a time (the blocking schedule's sum of
+    /// delays) instead of with one waitall.
+    one_at_a_time: bool,
+    /// Send buffers (left, right), refilled from the last payloads
+    /// received.
+    bufs: [Vec<f64>; 2],
+    /// Receives posted and not yet completed: (from left, from right).
+    pending: Option<[RecvRequest; 2]>,
+}
+
+impl Exchange {
+    pub(crate) fn new(left: usize, right: usize, one_at_a_time: bool) -> Self {
+        Self {
+            left,
+            right,
+            one_at_a_time,
+            bufs: [Vec::new(), Vec::new()],
+            pending: None,
+        }
+    }
+
+    /// Whether an exchange is posted and not yet completed.
+    pub(crate) fn is_pending(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// Drop the posted receives (a restore starts with nothing in flight).
+    pub(crate) fn clear(&mut self) {
+        self.pending = None;
+    }
+
+    /// Pack both borders with `pack(side, buf)`, send them, and post both
+    /// receives.
+    pub(crate) fn post(
+        &mut self,
+        comm: &mut Comm,
+        (to_left, to_right): (u64, u64),
+        mut pack: impl FnMut(Side, &mut Vec<f64>),
+    ) -> CommResult<()> {
+        debug_assert!(self.pending.is_none(), "an exchange is already in flight");
+        for (side, dst, tag) in [
+            (Side::Left, self.left, to_left),
+            (Side::Right, self.right, to_right),
+        ] {
+            let buf = &mut self.bufs[side as usize];
+            pack(side, buf);
+            let _ = comm.isend(dst, tag, std::mem::take(buf))?;
+        }
+        self.pending = Some([
+            comm.irecv(self.left, to_right)?,
+            comm.irecv(self.right, to_left)?,
+        ]);
+        Ok(())
+    }
+
+    /// Wait for the posted receives and hand each payload to
+    /// `unpack(side, data)`; the payloads are kept as the next send
+    /// buffers.
+    pub(crate) fn complete(
+        &mut self,
+        comm: &mut Comm,
+        mut unpack: impl FnMut(Side, &[f64]),
+    ) -> CommResult<()> {
+        let reqs = self.pending.take().expect("complete follows a post");
+        let payloads = if self.one_at_a_time {
+            reqs.into_iter()
+                .map(|r| comm.wait(r))
+                .collect::<CommResult<Vec<_>>>()?
+        } else {
+            comm.waitall(reqs.into())?
+        };
+        for (side, data) in [Side::Left, Side::Right].into_iter().zip(payloads) {
+            unpack(side, &data);
+            self.bufs[side as usize] = data;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -195,5 +290,47 @@ mod tests {
         let d = f.alloc_dims();
         let adj = d.idx(2, 0, 0); // halo=3, so plane x=2 is adjacent to owned x=3
         assert!(f.slab(0)[adj..adj + d.plane()].iter().all(|&v| v == 9.0));
+    }
+
+    #[test]
+    fn exchange_recycles_received_payloads_as_send_buffers() {
+        use lbm_comm::{CostModel, Universe};
+        use std::collections::BTreeSet;
+        for one_at_a_time in [false, true] {
+            // Per rank, per round: the addresses of both send buffers
+            // after the exchange completed.
+            let per_rank = Universe::run(2, CostModel::free(), |comm| {
+                let peer = 1 - comm.rank();
+                let mut f = field_with_x_tags(2, 4, 2);
+                let mut ex = Exchange::new(peer, peer, one_at_a_time);
+                (0..4u64)
+                    .map(|round| {
+                        ex.post(comm, (2 * round, 2 * round + 1), |side, buf| {
+                            pack_border(&f, side, 2, buf)
+                        })
+                        .unwrap();
+                        ex.complete(comm, |side, data| unpack_halo(&mut f, side, 2, data))
+                            .unwrap();
+                        ex.bufs.iter().map(|b| b.as_ptr() as usize).collect()
+                    })
+                    .collect::<Vec<Vec<usize>>>()
+            });
+            let round = |r: usize| -> BTreeSet<usize> {
+                per_rank
+                    .iter()
+                    .flat_map(|rounds| rounds[r].clone())
+                    .collect()
+            };
+            // The ring's four payloads are allocated once and then only
+            // circulate: every later round holds the same four buffers.
+            assert_eq!(round(0).len(), 4, "one_at_a_time={one_at_a_time}");
+            for r in 1..4 {
+                assert_eq!(
+                    round(r),
+                    round(0),
+                    "one_at_a_time={one_at_a_time} round {r}"
+                );
+            }
+        }
     }
 }

@@ -10,6 +10,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document the
+/// workspace writes nests a handful of levels; the cap only stops hostile
+/// input from recursing the parser off the stack.
+pub(crate) const MAX_NESTING: usize = 128;
+
 /// A parsed or constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -88,80 +93,124 @@ impl Json {
     }
 
     /// Parse a complete JSON document (trailing whitespace allowed, trailing
-    /// garbage rejected).
+    /// garbage rejected). Arrays and objects nested more than 128 levels
+    /// deep are rejected, so hostile input cannot overflow the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(v)
     }
-}
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Object value from `(key, value)` pairs, in order.
+    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// String value.
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    /// Compact rendering (the [`Display`](fmt::Display) form).
+    pub fn render(&self) -> String {
+        self.to_string()
+    }
+
+    /// Rendering with 2-space indentation and a trailing newline, for
+    /// stable, diff-friendly artifacts. Empty containers stay `[]`/`{}`.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0))
+            .expect("writing to a String cannot fail");
+        out.push('\n');
+        out
+    }
+
+    /// Render compactly (`depth` `None`) or indented at nesting `depth`.
+    fn write(&self, out: &mut impl fmt::Write, depth: Option<usize>) -> fmt::Result {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(i) => write!(f, "{i}"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => write!(out, "{b}"),
+            Json::Int(i) => write!(out, "{i}"),
             Json::Num(x) => {
                 if x.is_finite() {
                     // Shortest-roundtrip Display; force a marker so the
                     // value re-parses as Num, not Int.
                     let s = format!("{x}");
                     if s.contains(['.', 'e', 'E']) {
-                        f.write_str(&s)
+                        out.write_str(&s)
                     } else {
-                        write!(f, "{s}.0")
+                        write!(out, "{s}.0")
                     }
                 } else {
                     // JSON has no Inf/NaN; null is the conventional stand-in.
-                    f.write_str("null")
+                    out.write_str("null")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
+                write_seq(out, depth, ['[', ']'], items, |out, v, d| v.write(out, d))
             }
-            Json::Obj(members) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
-            }
+            Json::Obj(members) => write_seq(out, depth, ['{', '}'], members, |out, (k, v), d| {
+                write_escaped(out, k)?;
+                out.write_str(if d.is_some() { ": " } else { ":" })?;
+                v.write(out, d)
+            }),
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, None)
+    }
+}
+
+/// Render a container: `item` writes each element at the inner depth;
+/// indented output puts every element on its own line.
+fn write_seq<W: fmt::Write, T>(
+    out: &mut W,
+    depth: Option<usize>,
+    [open, close]: [char; 2],
+    items: &[T],
+    mut item: impl FnMut(&mut W, &T, Option<usize>) -> fmt::Result,
+) -> fmt::Result {
+    out.write_char(open)?;
+    let inner = depth.map(|d| d + 1);
+    for (i, v) in items.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        if let Some(d) = inner {
+            write!(out, "\n{:w$}", "", w = 2 * d)?;
+        }
+        item(out, v, inner)?;
+    }
+    if let Some(d) = depth.filter(|_| !items.is_empty()) {
+        write!(out, "\n{:w$}", "", w = 2 * d)?;
+    }
+    out.write_char(close)
+}
+
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_str("\"")?;
     for c in s.chars() {
         match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    f.write_str("\"")
+    out.write_str("\"")
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -179,8 +228,14 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_NESTING {
+        return Err(format!(
+            "nesting deeper than {MAX_NESTING} at byte {}",
+            *pos
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
@@ -196,7 +251,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -221,7 +276,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -377,5 +432,175 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn renders_scalars_and_nesting() {
+        let v = Json::obj(vec![
+            ("name", Json::str("D3Q19")),
+            ("mflups", Json::Num(12.5)),
+            ("steps", Json::Int(8)),
+            ("ok", Json::Bool(true)),
+            ("none", Json::Null),
+            ("arr", Json::Arr(vec![Json::Int(1), Json::Int(2)])),
+        ]);
+        assert_eq!(
+            v.render(),
+            r#"{"name":"D3Q19","mflups":12.5,"steps":8,"ok":true,"none":null,"arr":[1,2]}"#
+        );
+    }
+
+    #[test]
+    fn escapes_strings_and_maps_nonfinite_to_null() {
+        let v = Json::Arr(vec![
+            Json::str("a\"b\\c\nd"),
+            Json::Num(f64::NAN),
+            Json::Num(f64::INFINITY),
+        ]);
+        assert_eq!(v.render(), r#"["a\"b\\c\nd",null,null]"#);
+        assert_eq!(
+            Json::Num(f64::NEG_INFINITY).render_pretty(),
+            "null\n",
+            "pretty rendering maps non-finite numbers the same way"
+        );
+    }
+
+    #[test]
+    fn pretty_output_is_indented_and_reparsable_shape() {
+        let v = Json::obj(vec![("k", Json::Arr(vec![Json::Int(1)]))]);
+        let s = v.render_pretty();
+        assert!(s.contains("\"k\": [\n"));
+        assert!(s.ends_with("}\n"));
+        // Float roundtrip formatting keeps full precision.
+        let f = Json::Num(0.1 + 0.2);
+        assert_eq!(f.render(), format!("{:?}", 0.1f64 + 0.2f64));
+        // The exact layout: two spaces per level, one element per line.
+        let v = Json::obj(vec![
+            ("k", Json::Arr(vec![Json::Int(1), Json::str("x")])),
+            ("o", Json::obj(vec![("n", Json::Num(0.5))])),
+        ]);
+        assert_eq!(
+            v.render_pretty(),
+            "{\n  \"k\": [\n    1,\n    \"x\"\n  ],\n  \"o\": {\n    \"n\": 0.5\n  }\n}\n"
+        );
+    }
+
+    #[test]
+    fn empty_containers_stay_compact() {
+        assert_eq!(Json::Arr(vec![]).render_pretty(), "[]\n");
+        assert_eq!(Json::Obj(vec![]).render(), "{}");
+        let nested = Json::obj(vec![("a", Json::Arr(vec![])), ("o", Json::Obj(vec![]))]);
+        assert_eq!(nested.render_pretty(), "{\n  \"a\": [],\n  \"o\": {}\n}\n");
+    }
+
+    #[test]
+    fn parse_roundtrips_rendered_artifacts() {
+        let doc = Json::obj(vec![
+            ("schema", Json::str("lbm-bench/kernels-mflups/v5")),
+            ("ok", Json::Bool(true)),
+            ("none", Json::Null),
+            ("n", Json::Int(-42)),
+            ("x", Json::Num(0.7118)),
+            (
+                "summary",
+                Json::obj(vec![(
+                    "D3Q19",
+                    Json::obj(vec![("aa_over_two_grid", Json::Num(0.86))]),
+                )]),
+            ),
+            ("arr", Json::Arr(vec![Json::Int(1), Json::Num(2.5)])),
+        ]);
+        for rendered in [doc.render(), doc.render_pretty()] {
+            let back = Json::parse(&rendered).unwrap();
+            assert_eq!(back.render(), doc.render());
+        }
+    }
+
+    #[test]
+    fn parse_accessors_walk_nested_objects() {
+        let v =
+            Json::parse(r#"{"summary":{"D3Q19":{"aa_over_two_grid":0.86,"name":"aa"}}}"#).unwrap();
+        let entry = v.get("summary").and_then(|s| s.get("D3Q19")).unwrap();
+        assert_eq!(
+            entry.get("aa_over_two_grid").and_then(Json::as_f64),
+            Some(0.86)
+        );
+        assert_eq!(entry.get("name").and_then(Json::as_str), Some("aa"));
+        assert_eq!(v.get("missing").map(|_| ()), None);
+    }
+
+    #[test]
+    fn parse_handles_escapes_and_rejects_garbage() {
+        let v = Json::parse(r#"["a\"b\\c\nd", "A"]"#).unwrap();
+        match v {
+            Json::Arr(items) => {
+                assert_eq!(items[0].as_str(), Some("a\"b\\c\nd"));
+                assert_eq!(items[1].as_str(), Some("A"));
+            }
+            other => panic!("expected array, got {other:?}"),
+        }
+        assert!(Json::parse("{\"k\": }").is_err());
+        assert!(Json::parse("[1, 2").is_err());
+        assert!(Json::parse("true false").is_err());
+    }
+
+    #[test]
+    fn parse_distinguishes_ints_from_floats() {
+        assert!(matches!(Json::parse("7").unwrap(), Json::Int(7)));
+        assert!(matches!(Json::parse("-7").unwrap(), Json::Int(-7)));
+        assert!(matches!(Json::parse("7.0").unwrap(), Json::Num(_)));
+        assert!(matches!(Json::parse("1e3").unwrap(), Json::Num(_)));
+        // i64-overflowing integers degrade to floats instead of failing.
+        assert!(matches!(
+            Json::parse("99999999999999999999").unwrap(),
+            Json::Num(_)
+        ));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let ok = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!(
+            "{}{}",
+            "[".repeat(MAX_NESTING + 1),
+            "]".repeat(MAX_NESTING + 1)
+        );
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting"));
+        let objs = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING + 1),
+            "}".repeat(MAX_NESTING + 1)
+        );
+        assert!(Json::parse(&objs).unwrap_err().contains("nesting"));
+    }
+
+    /// A megabyte of `[` must come back as an error from every parser
+    /// entry point — not a stack overflow, which no `catch_unwind` (the
+    /// ensemble's panic containment) can contain.
+    #[test]
+    fn a_megabyte_of_brackets_is_a_typed_error_everywhere() {
+        use crate::runtime::{EventRecord, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+        use crate::simulation::Simulation;
+        use lbm_core::Error;
+
+        let hostile = "[".repeat(1 << 20);
+        assert!(Json::parse(&hostile).unwrap_err().contains("nesting"));
+        assert!(EventRecord::from_json_line(&hostile)
+            .unwrap_err()
+            .contains("nesting"));
+
+        // A checkpoint whose header passes every framing check, checksum
+        // included, so the bytes reach the header parser.
+        let mut ckpt = CHECKPOINT_MAGIC.to_vec();
+        ckpt.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        ckpt.extend_from_slice(&(hostile.len() as u64).to_le_bytes());
+        ckpt.extend_from_slice(hostile.as_bytes());
+        ckpt.extend_from_slice(&lbm_core::snapshot::fnv1a(hostile.as_bytes()).to_le_bytes());
+        match Simulation::resume_bytes(&ckpt) {
+            Err(Error::Corrupt(msg)) => assert!(msg.contains("nesting"), "{msg}"),
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("a hostile header must not resume"),
+        }
     }
 }

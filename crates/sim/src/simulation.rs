@@ -675,26 +675,53 @@ mod tests {
 
     #[test]
     fn run_continues_the_trajectory_instead_of_restarting() {
-        let build = || {
-            Simulation::builder(LatticeKind::D3Q19, Dim3::new(8, 8, 8))
-                .scenario(TaylorGreen::default())
-                .ranks(2)
-                .build()
-                .unwrap()
-        };
-        let mut split = build();
-        split.run(3).unwrap();
-        let rep = split.run(4).unwrap();
-        assert_eq!(rep.steps, 4, "report covers the span it advanced");
-        assert_eq!(split.steps_done(), 7);
-        let mut whole = build();
-        let rep_whole = whole.run(7).unwrap();
-        assert_eq!(
-            rep.mass.to_bits(),
-            rep_whole.mass.to_bits(),
-            "run(3); run(4) must land on the run(7) state bitwise"
-        );
-        assert_eq!(rep_whole.steps, 7);
+        // Every schedule × storage at 2 ranks. A split run reaches the
+        // just-in-time exchange paths: run(3) of an AA run ends on an even
+        // step with nothing posted, and a run resumed from a checkpoint
+        // starts its first refill with nothing in flight.
+        for strategy in [
+            CommStrategy::Blocking,
+            CommStrategy::NonBlockingEager,
+            CommStrategy::NonBlockingGhost,
+            CommStrategy::OverlapGhostCollide,
+        ] {
+            for storage in StorageMode::ALL {
+                let build = || {
+                    Simulation::builder(LatticeKind::D3Q19, Dim3::new(8, 8, 8))
+                        .scenario(TaylorGreen::default())
+                        .strategy(strategy)
+                        .storage(storage)
+                        .ranks(2)
+                        .build()
+                        .unwrap()
+                };
+                let case = format!("{strategy:?} {storage:?}");
+                let mut split = build();
+                split.run(3).unwrap();
+                let mut resumed = Simulation::resume_bytes(&split.checkpoint().unwrap()).unwrap();
+                let rep = split.run(4).unwrap();
+                assert_eq!(rep.steps, 4, "{case}: report covers the span it advanced");
+                assert_eq!(split.steps_done(), 7, "{case}");
+                let mut whole = build();
+                let rep_whole = whole.run(7).unwrap();
+                assert_eq!(rep_whole.steps, 7, "{case}");
+                assert_eq!(
+                    rep.mass.to_bits(),
+                    rep_whole.mass.to_bits(),
+                    "{case}: run(3); run(4) must land on the run(7) state bitwise"
+                );
+                let want = whole.checkpoint().unwrap();
+                assert!(
+                    split.checkpoint().unwrap() == want,
+                    "{case}: run(3); run(4) must checkpoint the run(7) bytes"
+                );
+                resumed.run(4).unwrap();
+                assert!(
+                    resumed.checkpoint().unwrap() == want,
+                    "{case}: resume after run(3), then run(4), must checkpoint the run(7) bytes"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,12 +17,15 @@
 //! `SimConfig::sparse_ghost_cols` boundary columns each way (one for reach
 //! ≤ 2, two for D3Q39).
 //!
-//! The distributed schedule is deliberately simple: one blocking
-//! frame-exchange per step (two-grid) or per pair (AA), shipping only the
-//! *allocated boundary tiles* of the first/last owned columns. Both sides
-//! enumerate boundary tiles from the global geometry in the same (ty, tz)
-//! order, so the payloads need no framing metadata. `ghost_depth` and
-//! [`CommStrategy`](crate::config::CommStrategy) are ignored on this path.
+//! The distributed schedule is deliberately simple: the dense path's
+//! two-neighbour exchange (`halo::Exchange`), posted and at once completed
+//! with one waitall, every step (two-grid) or before every odd step (AA).
+//! It ships only the *allocated boundary tiles* of the first/last owned
+//! columns.
+//! Both sides enumerate boundary tiles from the global geometry in the
+//! same (ty, tz) order, so the payloads need no framing metadata.
+//! `ghost_depth` and [`CommStrategy`](crate::config::CommStrategy) are
+//! ignored on this path.
 //!
 //! `AnySolver` is the engine-facing dispatch: the persistent engine holds
 //! one per rank and every caller (timed runs, probes, checkpointing, fault
@@ -32,7 +35,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lbm_comm::Comm;
+use lbm_comm::{Comm, CommResult};
 use lbm_core::collision::Bgk;
 use lbm_core::field::{DistField, StorageMode};
 use lbm_core::geometry::{self, tile_cell, Geometry, SparseTiles, TILE_B, TILE_CELLS};
@@ -44,7 +47,8 @@ use lbm_core::perf::PerfCounters;
 use lbm_core::{Error, Result};
 
 use crate::config::SimConfig;
-use crate::distributed::{jitter_u01, spin_sleep, RankSolver};
+use crate::distributed::{on_pool, rank_pool, ComputeNoise, RankSolver};
+use crate::halo::{Exchange, Side};
 use crate::json::Json;
 use crate::scenario::ScenarioHandle;
 
@@ -208,13 +212,13 @@ pub(crate) struct SparseRankSolver {
     tmp: Option<SparseField>,
     storage: StorageMode,
     global: Dim3,
-    rank: usize,
     ranks: usize,
     use_simd: bool,
     pool: Option<rayon::ThreadPool>,
     scenario: Option<ScenarioHandle>,
-    jitter: f64,
-    skew: f64,
+    noise: ComputeNoise,
+    /// The boundary-frame exchange with both neighbours.
+    halo: Exchange,
     step_no: u64,
 }
 
@@ -255,14 +259,6 @@ impl SparseRankSolver {
                 sparse::init_equilibrium_aa(&ctx, &tiles, &mut f, global, state);
             }
         }
-        let pool = (cfg.threads_per_rank > 1)
-            .then(|| {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(cfg.threads_per_rank)
-                    .build()
-                    .map_err(|e| Error::BadParameter(format!("rayon pool: {e}")))
-            })
-            .transpose()?;
         Ok(Self {
             ctx,
             counters: PerfCounters::default(),
@@ -272,17 +268,16 @@ impl SparseRankSolver {
             tmp,
             storage,
             global,
-            rank,
             ranks: cfg.ranks,
             use_simd: cfg.level >= OptLevel::Simd,
-            pool,
+            pool: rank_pool(cfg.threads_per_rank)?,
             scenario,
-            jitter: cfg.compute_jitter,
-            skew: if cfg.ranks > 1 {
-                cfg.compute_skew * rank as f64 / (cfg.ranks - 1) as f64
-            } else {
-                0.0
-            },
+            noise: ComputeNoise::new(cfg, rank),
+            halo: Exchange::new(
+                (rank + cfg.ranks - 1) % cfg.ranks,
+                (rank + 1) % cfg.ranks,
+                false,
+            ),
             step_no: 0,
         })
     }
@@ -292,16 +287,20 @@ impl SparseRankSolver {
     /// AA: even steps are purely local collide-and-swap (no exchange, no
     /// second buffer); odd steps exchange first, then gather/collide/scatter
     /// in place through the neighbour table.
+    ///
+    /// # Panics
+    ///
+    /// If a neighbour rank is gone mid-exchange.
     pub(crate) fn run(&mut self, comm: &mut Comm, steps: usize) {
         for _ in 0..steps {
             let t0 = Instant::now();
             let aa_odd = self.storage == StorageMode::InPlaceAa && self.step_no % 2 == 1;
             if self.storage == StorageMode::TwoGrid || aa_odd {
-                self.exchange(comm);
+                self.exchange(comm)
+                    .expect("halo exchange: a neighbour rank is gone");
             }
             let g = self.force();
             let use_simd = self.use_simd;
-            let storage = self.storage;
             let Self {
                 ctx,
                 tiles,
@@ -311,87 +310,64 @@ impl SparseRankSolver {
                 pool,
                 ..
             } = &mut *self;
-            match storage {
-                StorageMode::TwoGrid => {
-                    let tmp = tmp.as_mut().expect("two-grid keeps a destination buffer");
-                    match pool {
-                        Some(p) => {
-                            p.install(|| sparse::step_par(ctx, tiles, gt, f, tmp, g, use_simd));
-                        }
-                        None => sparse::step(ctx, tiles, gt, f, tmp, g, use_simd),
-                    }
-                    std::mem::swap(f, tmp);
-                }
-                StorageMode::InPlaceAa if aa_odd => match pool {
-                    Some(p) => {
-                        p.install(|| sparse::aa_odd_step_par(ctx, tiles, gt, f, g, use_simd))
-                    }
-                    None => sparse::aa_odd_step(ctx, tiles, gt, f, g, use_simd),
-                },
-                StorageMode::InPlaceAa => match pool {
-                    Some(p) => p.install(|| sparse::aa_even_step_par(ctx, tiles, f, g, use_simd)),
-                    None => sparse::aa_even_step(ctx, tiles, f, g, use_simd),
-                },
+            on_pool(pool.as_ref(), |par| match tmp {
+                Some(tmp) if par => sparse::step_par(ctx, tiles, gt, f, tmp, g, use_simd),
+                Some(tmp) => sparse::step(ctx, tiles, gt, f, tmp, g, use_simd),
+                None if aa_odd && par => sparse::aa_odd_step_par(ctx, tiles, gt, f, g, use_simd),
+                None if aa_odd => sparse::aa_odd_step(ctx, tiles, gt, f, g, use_simd),
+                None if par => sparse::aa_even_step_par(ctx, tiles, f, g, use_simd),
+                None => sparse::aa_even_step(ctx, tiles, f, g, use_simd),
+            });
+            if let Some(tmp) = tmp {
+                std::mem::swap(f, tmp);
             }
-            let noise = self.step_no;
+            let seed = self.step_no;
             self.step_no += 1;
-            let mut dt = t0.elapsed();
-            if self.jitter > 0.0 || self.skew > 0.0 {
-                let u = jitter_u01(self.rank as u64, noise);
-                let extra = dt.mul_f64(self.jitter * u + self.skew);
-                spin_sleep(extra);
-                dt += extra;
-            }
             // Ghost tiles are shipped, never computed: all updates are
             // owned fluid-cell updates (solid rim cells only bounce).
-            self.counters.record(self.tiles.owned_fluid_cells, 0, dt);
+            self.noise.finish_step(
+                &mut self.counters,
+                t0,
+                seed,
+                self.tiles.owned_fluid_cells,
+                0,
+            );
         }
     }
 
-    /// Blocking exchange of the allocated boundary-tile frames. Runs every
-    /// step under two-grid storage and before every odd step under AA (the
-    /// even half-step is purely local, so ghost frames are only read by the
-    /// odd gather/scatter). Ghost frames are never escape-zeroed locally —
+    /// Exchange the allocated boundary-tile frames. Runs every step under
+    /// two-grid storage and before every odd step under AA (the even
+    /// half-step is purely local, so ghost frames are only read by the odd
+    /// gather/scatter). Ghost frames are never escape-zeroed locally —
     /// their owner's copy is authoritative. Serial runs have a periodic
     /// neighbour table instead of ghosts and skip this entirely.
-    fn exchange(&mut self, comm: &mut Comm) {
+    fn exchange(&mut self, comm: &mut Comm) -> CommResult<()> {
         if self.ranks == 1 {
-            return;
+            return Ok(());
         }
-        let fl = self.f.frame_len();
-        let left = (self.rank + self.ranks - 1) % self.ranks;
-        let right = (self.rank + 1) % self.ranks;
-        // Tag by direction of travel so the two payloads of a 2-rank ring
-        // (left == right) cannot cross.
-        let to_left = self.step_no * 2;
-        let to_right = self.step_no * 2 + 1;
-        let pack = |idx: &[usize], f: &SparseField| {
-            let mut buf = Vec::with_capacity(idx.len() * fl);
+        let (tiles, f) = (&self.tiles, &mut self.f);
+        let fl = f.frame_len();
+        let tags = (self.step_no * 2, self.step_no * 2 + 1);
+        self.halo.post(comm, tags, |side, buf| {
+            let idx = match side {
+                Side::Left => &tiles.send_left,
+                Side::Right => &tiles.send_right,
+            };
+            buf.clear();
             for &t in idx {
                 buf.extend_from_slice(f.frame(t));
             }
-            buf
-        };
-        let _ = comm
-            .isend(left, to_left, pack(&self.tiles.send_left, &self.f))
-            .expect("isend");
-        let _ = comm
-            .isend(right, to_right, pack(&self.tiles.send_right, &self.f))
-            .expect("isend");
-        let rl = comm.irecv(left, to_right).expect("irecv");
-        let rr = comm.irecv(right, to_left).expect("irecv");
-        let msgs = comm.waitall(vec![rl, rr]).expect("waitall");
-        for (idx, data) in [
-            (&self.tiles.recv_left, &msgs[0]),
-            (&self.tiles.recv_right, &msgs[1]),
-        ] {
+        })?;
+        self.halo.complete(comm, |side, data| {
+            let idx = match side {
+                Side::Left => &tiles.recv_left,
+                Side::Right => &tiles.recv_right,
+            };
             debug_assert_eq!(data.len(), idx.len() * fl, "boundary frame mismatch");
-            for (j, &t) in idx.iter().enumerate() {
-                self.f
-                    .frame_mut(t)
-                    .copy_from_slice(&data[j * fl..(j + 1) * fl]);
+            for (&t, frame) in idx.iter().zip(data.chunks_exact(fl)) {
+                f.frame_mut(t).copy_from_slice(frame);
             }
-        }
+        })
     }
 
     /// The scenario body force for the step about to run.
