@@ -26,12 +26,15 @@
 //! `f_i(t, x)` — the pull-stream of the two-grid state: `A = S(F)` with
 //! `F` the two-grid (post-collision) field and `S` the pull-stream
 //! permutation. One even step later the state is the two-grid field with
-//! slots reversed (`A[x][j] = F[x][opp(j)]`, no spatial shift). Because the
-//! per-cell arithmetic below is shared with the two-grid kernels
-//! ([`crate::kernels::op`]'s rules and constants), the scalar AA trajectory
-//! is the *bitwise* streamed image of the scalar two-grid trajectory; the
-//! AVX2+FMA drivers agree within FMA re-rounding, exactly like the
-//! `Simd`/`Fused` rungs.
+//! slots reversed (`A[x][j] = F[x][opp(j)]`, no spatial shift).
+//!
+//! Both steps run the one cell body of [`crate::kernels::op`]
+//! (`collide_group`, with the AA cross-store), written once over the lane
+//! type of `kernels::lanes`: `Scalar` lanes, or `Avx2<true>` lanes
+//! when `simd` is asked for (and the host has AVX2+FMA) with a `Scalar`
+//! tail. Either way the AA trajectory is *bitwise* the streamed image of the
+//! two-grid trajectory run with the same lanes — scalar AA ≡ scalar
+//! two-grid, AVX2 AA ≡ `Simd`-rung two-grid.
 //!
 //! ## Boundaries come for free
 //!
@@ -47,61 +50,23 @@
 //! Each step reads Q and writes Q doubles per cell in one array: `2·Q·8`
 //! bytes/cell of model traffic (vs the paper's two-grid `3·Q·8`), and half
 //! the resident population memory — see
-//! [`crate::perf::model_bytes_per_cell`].
+//! [`crate::perf::model_bytes_per_cell`]. All stores are regular
+//! write-back stores: every destination row was just read by the same
+//! step, so it is already in cache.
+
+use std::marker::PhantomData;
 
 use crate::boundary::{BoundarySpec, WallKind};
 use crate::equilibrium::{feq_i, EqOrder};
 use crate::field::DistField;
 use crate::index::Dim3;
-use crate::kernels::op::{self, CollideOp, OpConsts};
-use crate::kernels::{simd, KernelCtx, StreamTables, MAX_Q};
+use crate::kernels::lanes::{self, prefetch_span, LaneKernel, Lanes, Scalar};
+use crate::kernels::op::{self, collide_group, CellKernel, CollideOp, OpConsts, Slots, Sweep};
+use crate::kernels::{KernelCtx, StreamTables, MAX_Q};
 
-/// z-block for the AA sweeps (and the odd-step gather tile: Q×ZBA doubles on
-/// the stack, ≈20 KiB at D3Q39 — the same working-set budget as the fused
-/// kernel's tile).
+/// z-block of the wall-row tiles (`Q×ZBA` doubles on the stack, ≈20 KiB at
+/// D3Q39 — the same working-set budget as the fused kernel's tile).
 pub(crate) const ZBA: usize = 64;
-
-/// Tuning knobs for the AA drivers, threaded from the ladder dispatchers.
-///
-/// * `simd` — run the AVX2+FMA cell arithmetic (runtime-detected, scalar
-///   fallback), exactly like the two-grid `Simd`/`Fused` rungs.
-/// * `nt` — non-temporal stores for destination slots that are provably
-///   write-only within the step: the even step's opposite-slot stores and
-///   the odd step's scatter rows. Safe because the writer↦slot map is a
-///   bijection — every slot is read (by its unique writer) before it is
-///   written, and no slot is re-read after its write until the next step —
-///   so bypassing the cache on the store changes no value, only traffic.
-///   Runtime-gated on AVX2 (scalar stores otherwise); the drivers issue an
-///   `sfence` before returning so the rayon chunks' bitwise
-///   serial≡threaded guarantee survives the weakly-ordered stores.
-///
-/// Both knobs change *scheduling only*: every combination is
-/// bitwise-identical to the same `simd` setting with `nt` off, and `simd`
-/// agrees with scalar within FMA re-rounding (property-tested).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AaTune {
-    /// AVX2+FMA collide arithmetic (with runtime detection + scalar
-    /// fallback).
-    pub simd: bool,
-    /// Non-temporal stores on the write-only destination slots (runtime
-    /// AVX2 gate; ignored where a step's store pattern cannot stream).
-    pub nt: bool,
-}
-
-impl AaTune {
-    /// Fully scalar: the bitwise reference configuration.
-    pub const SCALAR: Self = Self {
-        simd: false,
-        nt: false,
-    };
-
-    /// Knobs for a ladder rung's kernel class: the vector classes
-    /// (`Simd`/`Fused`) get the AVX2 tile *and* the NT-store path, the
-    /// scalar classes neither.
-    pub const fn for_class(simd: bool) -> Self {
-        Self { simd, nt: false }
-    }
-}
 
 /// How the odd sweep maps a writer plane `x` to its `±c_x`-shifted
 /// gather/scatter planes.
@@ -146,111 +111,16 @@ impl XShift {
     }
 }
 
-/// Whether the NT-store path is live: the knob is on *and* the CPU has AVX2
-/// (the same runtime gate as the vector collide).
-#[inline]
-fn nt_active(tune: AaTune) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        tune.nt && simd::simd_available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = tune;
-        false
-    }
-}
-
-/// Drain the write-combining buffers after a non-temporal store sequence.
-/// Called once per driver invocation (i.e. per rayon chunk), *before* the
-/// task completes: NT stores are weakly ordered, and the disjoint-chunk
-/// bitwise guarantee needs every chunk's stores globally visible when its
-/// task joins.
-#[inline]
-fn sfence() {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SFENCE is baseline SSE, always present on x86_64.
-    unsafe {
-        std::arch::x86_64::_mm_sfence()
-    };
-}
-
-/// Prefetch the next y-row of every velocity slab (the rows the sweep
-/// touches next), `nz` doubles per slab starting at `next_base` — the AA
-/// adaptation of `fused_simd`'s next-src-row prefetch. The even step's 2Q
-/// concurrent unit-stride streams exceed the hardware stride prefetcher's
-/// capacity; one software touch per row keeps them flowing.
-#[inline]
-fn prefetch_next_rows(
-    base_ptr: *const f64,
-    total: usize,
-    slab_len: usize,
-    q: usize,
-    next_base: usize,
-    nz: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: PREFETCHT0 is architecturally a hint and cannot fault; all
-    // offsets are clamped to `total`.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        for i in 0..q {
-            let row = i * slab_len + next_base;
-            let mut p = row;
-            let end = (row + nz).min(total);
-            while p < end {
-                _mm_prefetch::<_MM_HINT_T0>(base_ptr.add(p) as *const i8);
-                p += 8;
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (base_ptr, total, slab_len, q, next_base, nz);
-    }
-}
-
-/// Prefetch the next y-row (`row + nz`) of every per-velocity gather row —
-/// the odd-step variant of [`prefetch_next_rows`], where each velocity
-/// reads a differently shifted plane/row so the row bases are irregular.
-/// No separate destination prefetch is needed: the scatter row of velocity
-/// `i` *is* the gather row of `opp(i)` (same slab, plane, and row), so
-/// every store destination is already resident by the time it is written.
-#[inline]
-fn prefetch_rows_ahead(base_ptr: *const f64, total: usize, rows: &[usize], nz: usize) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: PREFETCHT0 is architecturally a hint and cannot fault; all
-    // offsets are clamped to `total`.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        for &row in rows {
-            let mut p = row + nz;
-            let end = (row + 2 * nz).min(total);
-            while p < end {
-                _mm_prefetch::<_MM_HINT_T0>(base_ptr.add(p) as *const i8);
-                p += 8;
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (base_ptr, total, rows, nz);
-    }
-}
-
 /// One AA **even** step over planes `x ∈ [x_lo, x_hi)`: in place, per cell,
 /// read-local/write-local (see module docs). The rule `op` is applied to
 /// fluid cells of `bounds`; bounce-back wall rows and masked cells are
 /// exact no-ops; moving/diffuse walls transform in place.
 ///
-/// Fluid rows run the **tile-free velocity-pair update**: one moment pass
-/// reading every slab row in place, then one relax pass over velocity
-/// pairs `(i, opp(i))` that loads both rows, computes both post-collision
-/// lines, and stores each into the other's slot — every population is
-/// loaded twice (moments + relax) and stored exactly once, with no
-/// gather-tile round trip. `tune` selects the AVX2+FMA arithmetic and the
-/// NT-store path (both runtime-detected, scalar fallback); the data
-/// movement and results are identical either way (see [`AaTune`]).
+/// Fluid rows run the velocity-pair update on the field rows themselves:
+/// per lane group, one moment pass over the Q rows, then the relax over
+/// velocity pairs `(i, opp(i))`, each pair loaded, collided and stored into
+/// the other's slot — no gather tile. `simd` selects the AVX2+FMA lanes
+/// (runtime-detected, scalar fallback).
 pub fn even_cells<O: CollideOp>(
     ctx: &KernelCtx,
     f: &mut DistField,
@@ -258,7 +128,7 @@ pub fn even_cells<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-    tune: AaTune,
+    simd: bool,
 ) {
     if x_lo >= x_hi {
         return;
@@ -269,13 +139,12 @@ pub fn even_cells<O: CollideOp>(
         "even x-range [{x_lo}, {x_hi}) exceeds nx {}",
         d.nx
     );
-    let total = f.as_slice().len();
     let slab_len = f.slab_stride();
     let ptr = f.as_mut_ptr();
     let oc = OpConsts::new(ctx, &op);
     // SAFETY: exclusive &mut access to the whole field; the x-range is
-    // checked above and every offset below stays inside `total`.
-    unsafe { even_cells_raw::<O>(ptr, total, slab_len, ctx, &oc, bounds, d, x_lo, x_hi, tune) }
+    // checked above.
+    unsafe { even_cells_raw::<O>(ptr, slab_len, ctx, &oc, bounds, d, x_lo, x_hi, simd) }
 }
 
 /// One AA **odd** step over *writer* planes `x ∈ [x_lo, x_hi)`:
@@ -284,11 +153,9 @@ pub fn even_cells<O: CollideOp>(
 /// and writes up to `k` planes outside the writer range).
 ///
 /// The double-shifted gather software-prefetches each velocity's next
-/// y-row (the AA adaptation of `fused_simd`'s next-src-row + RFO pattern;
-/// the scatter rows *are* the gather rows of the opposite velocities, so
-/// the gather prefetch covers the destinations too). With `tune.nt` the
-/// scatter streams past the cache — each scatter row was fully consumed by
-/// this writer's own gather before the store (see [`AaTune`]).
+/// y-row (the AA adaptation of the fused kernel's next-src-row pattern; the
+/// scatter rows *are* the gather rows of the opposite velocities, so the
+/// gather prefetch covers the destinations too).
 pub fn odd_cells<O: CollideOp>(
     ctx: &KernelCtx,
     tables: &StreamTables,
@@ -297,14 +164,13 @@ pub fn odd_cells<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-    tune: AaTune,
+    simd: bool,
 ) {
     if x_lo >= x_hi {
         return;
     }
     check_odd_bounds(ctx, f, x_lo, x_hi);
     let d = f.alloc_dims();
-    let total = f.as_slice().len();
     let slab_len = f.slab_stride();
     let ptr = f.as_mut_ptr();
     let oc = OpConsts::new(ctx, &op);
@@ -313,7 +179,6 @@ pub fn odd_cells<O: CollideOp>(
     unsafe {
         odd_cells_raw::<O>(
             ptr,
-            total,
             slab_len,
             ctx,
             &oc,
@@ -323,7 +188,7 @@ pub fn odd_cells<O: CollideOp>(
             x_lo,
             x_hi,
             XShift::Margin,
-            tune,
+            simd,
         )
     }
 }
@@ -345,7 +210,7 @@ pub fn odd_cells_periodic<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-    tune: AaTune,
+    simd: bool,
 ) {
     if x_lo >= x_hi {
         return;
@@ -356,7 +221,6 @@ pub fn odd_cells_periodic<O: CollideOp>(
         "odd writer range [{x_lo}, {x_hi}) exceeds nx {}",
         d.nx
     );
-    let total = f.as_slice().len();
     let slab_len = f.slab_stride();
     let ptr = f.as_mut_ptr();
     let oc = OpConsts::new(ctx, &op);
@@ -365,7 +229,7 @@ pub fn odd_cells_periodic<O: CollideOp>(
     // `[x_lo, x_hi)` which the assert keeps inside the allocation.
     unsafe {
         odd_cells_raw::<O>(
-            ptr, total, slab_len, ctx, &oc, tables, bounds, d, x_lo, x_hi, xw, tune,
+            ptr, slab_len, ctx, &oc, tables, bounds, d, x_lo, x_hi, xw, simd,
         )
     }
 }
@@ -392,7 +256,6 @@ pub(crate) fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn even_cells_raw<O: CollideOp>(
     base_ptr: *mut f64,
-    total: usize,
     slab_len: usize,
     ctx: &KernelCtx,
     oc: &OpConsts,
@@ -400,528 +263,99 @@ pub(crate) unsafe fn even_cells_raw<O: CollideOp>(
     d: Dim3,
     x_lo: usize,
     x_hi: usize,
-    tune: AaTune,
+    simd: bool,
 ) {
-    let q = ctx.lat.q();
-    let nz = d.nz;
-    let mask = bounds.mask();
-    let nt = nt_active(tune);
-    let mut fq = [[0.0f64; ZBA]; MAX_Q]; // wall rows only (O(boundary))
-
-    for x in x_lo..x_hi {
-        for y in 0..d.ny {
-            let wall = bounds.wall_row_kind(d.ny, y);
-            if matches!(wall, Some(WallKind::BounceBack)) {
-                continue; // AA even bounce-back is the identity
-            }
-            let dbase = d.idx(x, y, 0);
-            if let Some(kind) = wall {
-                let mut z0 = 0usize;
-                while z0 < nz {
-                    let blk = (nz - z0).min(ZBA);
-                    for (i, line) in fq.iter_mut().enumerate().take(q) {
-                        let off = i * slab_len + dbase + z0;
-                        debug_assert!(off + blk <= total);
-                        // SAFETY: off+blk ≤ total per the layout contract.
-                        unsafe {
-                            std::ptr::copy_nonoverlapping(
-                                base_ptr.add(off) as *const f64,
-                                line.as_mut_ptr(),
-                                blk,
-                            )
-                        };
-                    }
-                    // SAFETY: same offsets as the gather above.
-                    unsafe {
-                        store_wall_even(
-                            ctx, kind, &fq, oc, q, base_ptr, total, slab_len, dbase, z0, blk,
-                        )
-                    };
-                    z0 += blk;
-                }
-                continue;
-            }
-            // Fluid row, tile-free: one software touch of the next y-row
-            // per slab (2Q unit-stride streams overwhelm the hardware
-            // stride prefetcher), then the velocity-pair blocks in place.
-            // Masked solid cells are exact AA no-ops, so the sweep simply
-            // visits the fluid z-runs (identical run logic to every other
-            // boundary-aware driver).
-            prefetch_next_rows(base_ptr, total, slab_len, q, dbase + nz, nz);
-            let mut zs = 0usize;
-            while let Some((run_lo, run_hi)) = op::next_fluid_run(mask, y, nz, &mut zs) {
-                let mut z0 = run_lo;
-                while z0 < run_hi {
-                    let blk = (run_hi - z0).min(ZBA);
-                    // SAFETY: every row offset i·slab_len + dbase + z0 + blk
-                    // is ≤ total per the layout contract; writes stay inside
-                    // this caller's exclusive x-planes.
-                    unsafe {
-                        even_block::<O>(ctx, oc, base_ptr, total, slab_len, dbase, z0, blk, tune)
-                    };
-                    z0 += blk;
-                }
-            }
-        }
-    }
-    if nt {
-        sfence();
-    }
-}
-
-/// One tile-free even z-block: moment pass over all q rows in place, then
-/// the velocity-pair relax (each row loaded twice, stored once — no
-/// gather-tile round trip). Dispatches the AVX2+FMA or scalar body.
-///
-/// # Safety
-/// Layout contract as for [`even_cells_raw`]; `dbase + z0 + blk` within
-/// every slab and inside the caller's exclusive x-planes.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-unsafe fn even_block<O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    dbase: usize,
-    z0: usize,
-    blk: usize,
-    tune: AaTune,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tune.simd && simd::simd_available() {
-            // SAFETY: feature presence checked; contract forwarded.
-            unsafe {
-                if ctx.third_order() {
-                    even_block_avx2::<true, O>(
-                        ctx, oc, base_ptr, total, slab_len, dbase, z0, blk, tune.nt,
-                    );
-                } else {
-                    even_block_avx2::<false, O>(
-                        ctx, oc, base_ptr, total, slab_len, dbase, z0, blk, tune.nt,
-                    );
-                }
-            }
-            return;
-        }
-    }
-    // SAFETY: contract forwarded.
+    let s = Sweep {
+        base_ptr,
+        slab_len,
+        ctx,
+        oc,
+        bounds,
+        d,
+        x_lo,
+        x_hi,
+    };
+    // SAFETY: forwarded contract.
     unsafe {
         if ctx.third_order() {
-            even_block_scalar::<true, O>(ctx, oc, base_ptr, total, slab_len, dbase, z0, blk);
+            lanes::dispatch::<_, true>(&Even::<true, O>(s, PhantomData), simd);
         } else {
-            even_block_scalar::<false, O>(ctx, oc, base_ptr, total, slab_len, dbase, z0, blk);
+            lanes::dispatch::<_, true>(&Even::<false, O>(s, PhantomData), simd);
         }
     }
 }
 
-/// The per-(cell, velocity) relax expression — identical accumulation
-/// order and operations to the shared two-grid scalar body
-/// ([`op::collide_cells`]), so every driver built on it stays bitwise the
-/// streamed image of the two-grid trajectory.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn relax_one<const THIRD: bool, O: CollideOp>(
-    k: &crate::equilibrium::EqConsts,
-    oc: &OpConsts,
-    i: usize,
-    omega: f64,
-    rho: f64,
-    ux: f64,
-    uy: f64,
-    uz: f64,
-    u2: f64,
-    ug: f64,
-    fv: f64,
-) -> f64 {
-    let c = oc.cw[i];
-    let xi = c[0] * ux + c[1] * uy + c[2] * uz;
-    let mut poly = 1.0 + xi * k.inv_cs2 + xi * xi * k.inv_2cs4 - u2 * k.inv_2cs2;
-    if THIRD {
-        poly += xi * (xi * xi - 3.0 * k.cs2 * u2) * k.inv_6cs6;
-    }
-    let feq = c[3] * rho * poly;
-    let mut next = fv + omega * (feq - fv);
-    if O::FORCED {
-        next += oc.sa[i] - oc.sb[i] * ug + oc.sc[i] * xi;
-    }
-    next
-}
+/// The even traversal.
+struct Even<'a, const THIRD: bool, O>(Sweep<'a>, PhantomData<O>);
 
-/// Scalar tile-free even z-block — the shared relax arithmetic applied
-/// directly to the field rows, no gather tile: the moment pass
-/// reads each row once, the pair pass reads each row once more, computes
-/// `t_i` and `t_opp(i)`, and stores each into the other's slot.
-///
-/// # Safety
-/// See [`even_block`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn even_block_scalar<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    dbase: usize,
-    z0: usize,
-    blk: usize,
-) {
-    let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let hg = oc.half_g;
-    let g = oc.g;
+impl<const THIRD: bool, O: CollideOp> LaneKernel for Even<'_, THIRD, O> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(&self) {
+        let total = self.0.total();
+        let Sweep {
+            base_ptr,
+            slab_len,
+            ctx,
+            oc,
+            bounds,
+            d,
+            x_lo,
+            x_hi,
+        } = self.0;
+        let q = ctx.lat.q();
+        let nz = d.nz;
+        let mask = bounds.mask();
+        let kc = CellKernel::<L, THIRD, O>::new(ctx, oc);
+        let mut fq = [[0.0f64; ZBA]; MAX_Q]; // wall rows only (O(boundary))
 
-    let mut rho = [0.0f64; ZBA];
-    let mut mx = [0.0f64; ZBA];
-    let mut my = [0.0f64; ZBA];
-    let mut mz = [0.0f64; ZBA];
-    let mut ux = [0.0f64; ZBA];
-    let mut uy = [0.0f64; ZBA];
-    let mut uz = [0.0f64; ZBA];
-    let mut u2 = [0.0f64; ZBA];
-    let mut ug = [0.0f64; ZBA];
-
-    rho[..blk].fill(0.0);
-    mx[..blk].fill(0.0);
-    my[..blk].fill(0.0);
-    mz[..blk].fill(0.0);
-    for i in 0..q {
-        let c = oc.cw[i];
-        let off = i * slab_len + dbase + z0;
-        debug_assert!(off + blk <= total);
-        // SAFETY: off+blk ≤ total per the layout contract.
-        let p = unsafe { base_ptr.add(off) as *const f64 };
-        for j in 0..blk {
-            let fv = unsafe { *p.add(j) };
-            rho[j] += fv;
-            mx[j] += fv * c[0];
-            my[j] += fv * c[1];
-            mz[j] += fv * c[2];
-        }
-    }
-    for j in 0..blk {
-        let inv = 1.0 / rho[j];
-        if O::FORCED {
-            ux[j] = (mx[j] + hg[0]) * inv;
-            uy[j] = (my[j] + hg[1]) * inv;
-            uz[j] = (mz[j] + hg[2]) * inv;
-            ug[j] = ux[j] * g[0] + uy[j] * g[1] + uz[j] * g[2];
-        } else {
-            ux[j] = mx[j] * inv;
-            uy[j] = my[j] * inv;
-            uz[j] = mz[j] * inv;
-        }
-        u2[j] = ux[j] * ux[j] + uy[j] * uy[j] + uz[j] * uz[j];
-    }
-    // Relax in velocity pairs: rows i and opp(i) are each other's
-    // destination, so the pair is loaded, collided, and cross-stored in one
-    // loop — each slot is read before either is overwritten.
-    for i in 0..q {
-        let o = oc.opp[i];
-        if o < i {
-            continue; // pair already done
-        }
-        let off_i = i * slab_len + dbase + z0;
-        let off_o = o * slab_len + dbase + z0;
-        debug_assert!(off_i + blk <= total && off_o + blk <= total);
-        // SAFETY: offsets bounded above; rows of a pair are touched by
-        // this pair alone, inside the caller's exclusive x-planes.
-        let pi = unsafe { base_ptr.add(off_i) };
-        if o == i {
-            // Self-opposite (rest velocity): in place.
-            for j in 0..blk {
-                // SAFETY: j < blk ≤ row length.
-                unsafe {
-                    let fv = *pi.add(j);
-                    *pi.add(j) = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[j], ux[j], uy[j], uz[j], u2[j], ug[j], fv,
-                    );
+        for x in x_lo..x_hi {
+            for y in 0..d.ny {
+                let wall = bounds.wall_row_kind(d.ny, y);
+                if matches!(wall, Some(WallKind::BounceBack)) {
+                    continue; // AA even bounce-back is the identity
                 }
-            }
-        } else {
-            let po = unsafe { base_ptr.add(off_o) };
-            for j in 0..blk {
-                // SAFETY: j < blk ≤ row length; both loads precede both
-                // stores.
-                unsafe {
-                    let fi = *pi.add(j);
-                    let fo = *po.add(j);
-                    let ti = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[j], ux[j], uy[j], uz[j], u2[j], ug[j], fi,
-                    );
-                    let to = relax_one::<THIRD, O>(
-                        k, oc, o, omega, rho[j], ux[j], uy[j], uz[j], u2[j], ug[j], fo,
-                    );
-                    *po.add(j) = ti;
-                    *pi.add(j) = to;
+                let dbase = d.idx(x, y, 0);
+                if let Some(kind) = wall {
+                    let mut z0 = 0usize;
+                    while z0 < nz {
+                        let blk = (nz - z0).min(ZBA);
+                        for (i, line) in fq.iter_mut().enumerate().take(q) {
+                            let off = i * slab_len + dbase + z0;
+                            debug_assert!(off + blk <= total);
+                            // SAFETY: off+blk ≤ total per the layout contract.
+                            unsafe {
+                                std::ptr::copy_nonoverlapping(
+                                    base_ptr.add(off) as *const f64,
+                                    line.as_mut_ptr(),
+                                    blk,
+                                )
+                            };
+                        }
+                        // SAFETY: same offsets as the gather above.
+                        unsafe {
+                            store_wall_even(
+                                ctx, kind, &fq, oc, q, base_ptr, total, slab_len, dbase, z0, blk,
+                            )
+                        };
+                        z0 += blk;
+                    }
+                    continue;
                 }
-            }
-        }
-    }
-}
-
-/// AVX2+FMA tile-free even z-block: the canonical vector recipe (moment
-/// fmadds, one vector reciprocal via division, equilibrium polynomial, two
-/// extra fmas for the Guo source)
-/// applied directly to the field rows, with the relax pass over velocity
-/// pairs cross-storing into the opposite slots. With `nt` the pair stores
-/// stream past the cache when the block start is 32-byte aligned (the
-/// destination rows are write-only for the rest of the step).
-///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available; layout contract as for
-/// [`even_block`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn even_block_avx2<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    dbase: usize,
-    z0: usize,
-    blk: usize,
-    nt: bool,
-) {
-    use std::arch::x86_64::*;
-
-    const LANES: usize = 4;
-    let q = ctx.lat.q();
-    debug_assert!((q - 1) * slab_len + dbase + z0 + blk <= total);
-    let _ = total;
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let hg = oc.half_g;
-    let g = oc.g;
-
-    let mut rho = [0.0f64; ZBA];
-    let mut vux = [0.0f64; ZBA];
-    let mut vuy = [0.0f64; ZBA];
-    let mut vuz = [0.0f64; ZBA];
-    let mut vu2 = [0.0f64; ZBA];
-    let mut vug = [0.0f64; ZBA];
-
-    // SAFETY: every row offset i·slab_len + dbase + z0 + blk is ≤ total per
-    // the layout contract; moment-array accesses stay below blk ≤ ZBA.
-    unsafe {
-        let v_one = _mm256_set1_pd(1.0);
-        let v_omega = _mm256_set1_pd(omega);
-        let v_inv_cs2 = _mm256_set1_pd(k.inv_cs2);
-        let v_inv_2cs4 = _mm256_set1_pd(k.inv_2cs4);
-        let v_inv_2cs2 = _mm256_set1_pd(k.inv_2cs2);
-        let v_inv_6cs6 = _mm256_set1_pd(k.inv_6cs6);
-        let v_3cs2 = _mm256_set1_pd(3.0 * k.cs2);
-
-        let vec_end = blk - blk % LANES;
-        let mut z = 0usize;
-        while z < vec_end {
-            let mut vrho = _mm256_setzero_pd();
-            let mut vmx = _mm256_setzero_pd();
-            let mut vmy = _mm256_setzero_pd();
-            let mut vmz = _mm256_setzero_pd();
-            for i in 0..q {
-                let c = oc.cw[i];
-                let fv = _mm256_loadu_pd(base_ptr.add(i * slab_len + dbase + z0 + z) as *const f64);
-                vrho = _mm256_add_pd(vrho, fv);
-                if c[0] != 0.0 {
-                    vmx = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[0]), vmx);
+                // Fluid row: one software touch of the next y-row per slab
+                // (2Q unit-stride streams overwhelm the hardware stride
+                // prefetcher), then the velocity-pair groups in place.
+                // Masked solid cells are exact AA no-ops, so the sweep simply
+                // visits the fluid z-runs (identical run logic to every other
+                // boundary-aware driver).
+                for i in 0..q {
+                    let next = i * slab_len + dbase + nz;
+                    prefetch_span(base_ptr, next, (next + nz).min(total));
                 }
-                if c[1] != 0.0 {
-                    vmy = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[1]), vmy);
-                }
-                if c[2] != 0.0 {
-                    vmz = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[2]), vmz);
-                }
-            }
-            let vinv = _mm256_div_pd(v_one, vrho);
-            if O::FORCED {
-                vmx = _mm256_add_pd(vmx, _mm256_set1_pd(hg[0]));
-                vmy = _mm256_add_pd(vmy, _mm256_set1_pd(hg[1]));
-                vmz = _mm256_add_pd(vmz, _mm256_set1_pd(hg[2]));
-            }
-            let ux = _mm256_mul_pd(vmx, vinv);
-            let uy = _mm256_mul_pd(vmy, vinv);
-            let uz = _mm256_mul_pd(vmz, vinv);
-            let u2 = _mm256_fmadd_pd(ux, ux, _mm256_fmadd_pd(uy, uy, _mm256_mul_pd(uz, uz)));
-            let ugv = if O::FORCED {
-                _mm256_fmadd_pd(
-                    ux,
-                    _mm256_set1_pd(g[0]),
-                    _mm256_fmadd_pd(
-                        uy,
-                        _mm256_set1_pd(g[1]),
-                        _mm256_mul_pd(uz, _mm256_set1_pd(g[2])),
-                    ),
-                )
-            } else {
-                _mm256_setzero_pd()
-            };
-            _mm256_storeu_pd(rho.as_mut_ptr().add(z), vrho);
-            _mm256_storeu_pd(vux.as_mut_ptr().add(z), ux);
-            _mm256_storeu_pd(vuy.as_mut_ptr().add(z), uy);
-            _mm256_storeu_pd(vuz.as_mut_ptr().add(z), uz);
-            _mm256_storeu_pd(vu2.as_mut_ptr().add(z), u2);
-            _mm256_storeu_pd(vug.as_mut_ptr().add(z), ugv);
-            z += LANES;
-        }
-        // Scalar tail for the moment pass (reciprocal form, as in `simd`).
-        while z < blk {
-            let mut r = 0.0;
-            let mut m = [0.0f64; 3];
-            for i in 0..q {
-                let c = oc.cw[i];
-                let fv = *base_ptr.add(i * slab_len + dbase + z0 + z);
-                r += fv;
-                m[0] += fv * c[0];
-                m[1] += fv * c[1];
-                m[2] += fv * c[2];
-            }
-            let inv = 1.0 / r;
-            let u = if O::FORCED {
-                [
-                    (m[0] + hg[0]) * inv,
-                    (m[1] + hg[1]) * inv,
-                    (m[2] + hg[2]) * inv,
-                ]
-            } else {
-                [m[0] * inv, m[1] * inv, m[2] * inv]
-            };
-            rho[z] = r;
-            vux[z] = u[0];
-            vuy[z] = u[1];
-            vuz[z] = u[2];
-            vu2[z] = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-            vug[z] = u[0] * g[0] + u[1] * g[1] + u[2] * g[2];
-            z += 1;
-        }
-
-        // Vector main: lane-group-outer, pair-inner — the six moment
-        // vectors are loaded once per group and reused by every velocity
-        // pair (pairs touch distinct slots, so any processing order gives
-        // the same per-lane operation sequence).
-        let mut z = 0usize;
-        while z < vec_end {
-            let m_ux = _mm256_loadu_pd(vux.as_ptr().add(z));
-            let m_uy = _mm256_loadu_pd(vuy.as_ptr().add(z));
-            let m_uz = _mm256_loadu_pd(vuz.as_ptr().add(z));
-            let m_u2 = _mm256_loadu_pd(vu2.as_ptr().add(z));
-            let m_rho = _mm256_loadu_pd(rho.as_ptr().add(z));
-            let m_ug = if O::FORCED {
-                _mm256_loadu_pd(vug.as_ptr().add(z))
-            } else {
-                _mm256_setzero_pd()
-            };
-            // `relax_vec` with the moments pinned in registers.
-            macro_rules! relax_reg {
-                ($c:expr, $i:expr, $fv:expr) => {{
-                    let c = $c;
-                    let mut vxi = _mm256_setzero_pd();
-                    if c[0] != 0.0 {
-                        vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[0]), m_ux, vxi);
-                    }
-                    if c[1] != 0.0 {
-                        vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[1]), m_uy, vxi);
-                    }
-                    if c[2] != 0.0 {
-                        vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[2]), m_uz, vxi);
-                    }
-                    let mut vpoly = _mm256_fmadd_pd(vxi, v_inv_cs2, v_one);
-                    vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, vxi), v_inv_2cs4, vpoly);
-                    vpoly = _mm256_fnmadd_pd(m_u2, v_inv_2cs2, vpoly);
-                    if THIRD {
-                        let t = _mm256_fnmadd_pd(v_3cs2, m_u2, _mm256_mul_pd(vxi, vxi));
-                        vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, t), v_inv_6cs6, vpoly);
-                    }
-                    let vfeq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(c[3]), m_rho), vpoly);
-                    let fv = $fv;
-                    let mut out = _mm256_fmadd_pd(v_omega, _mm256_sub_pd(vfeq, fv), fv);
-                    if O::FORCED {
-                        let vs = _mm256_fmadd_pd(
-                            _mm256_set1_pd(oc.sc[$i]),
-                            vxi,
-                            _mm256_fnmadd_pd(
-                                _mm256_set1_pd(oc.sb[$i]),
-                                m_ug,
-                                _mm256_set1_pd(oc.sa[$i]),
-                            ),
-                        );
-                        out = _mm256_add_pd(out, vs);
-                    }
-                    out
-                }};
-            }
-            for i in 0..q {
-                let o = oc.opp[i];
-                if o < i {
-                    continue; // pair already done
-                }
-                let pi = base_ptr.add(i * slab_len + dbase + z0 + z);
-                // 32B-aligned stores may stream; the lane stride (32B)
-                // keeps a row's alignment invariant across groups, so this
-                // matches the per-pair block-start check exactly.
-                let nt_pi = nt && (pi as usize) & 31 == 0;
-                let out_i = relax_reg!(oc.cw[i], i, _mm256_loadu_pd(pi));
-                if o == i {
-                    // Self-opposite (rest velocity): in place.
-                    if nt_pi {
-                        _mm256_stream_pd(pi, out_i);
-                    } else {
-                        _mm256_storeu_pd(pi, out_i);
-                    }
-                } else {
-                    let po = base_ptr.add(o * slab_len + dbase + z0 + z);
-                    let nt_po = nt && (po as usize) & 31 == 0;
-                    let out_o = relax_reg!(oc.cw[o], o, _mm256_loadu_pd(po));
-                    if nt_po {
-                        _mm256_stream_pd(po, out_i);
-                    } else {
-                        _mm256_storeu_pd(po, out_i);
-                    }
-                    if nt_pi {
-                        _mm256_stream_pd(pi, out_o);
-                    } else {
-                        _mm256_storeu_pd(pi, out_o);
-                    }
-                }
-            }
-            z += LANES;
-        }
-        // Scalar tail, same pair order.
-        for i in 0..q {
-            let o = oc.opp[i];
-            if o < i {
-                continue; // pair already done
-            }
-            let pi = base_ptr.add(i * slab_len + dbase + z0);
-            if o == i {
-                let mut z = vec_end;
-                while z < blk {
-                    let fv = *pi.add(z);
-                    *pi.add(z) = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fv,
-                    );
-                    z += 1;
-                }
-            } else {
-                let po = base_ptr.add(o * slab_len + dbase + z0);
-                let mut z = vec_end;
-                while z < blk {
-                    let fi = *pi.add(z);
-                    let fo = *po.add(z);
-                    let ti = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fi,
-                    );
-                    let to = relax_one::<THIRD, O>(
-                        k, oc, o, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fo,
-                    );
-                    *po.add(z) = ti;
-                    *pi.add(z) = to;
-                    z += 1;
+                let mut zs = 0usize;
+                while let Some((lo, hi)) = op::next_fluid_run(mask, y, nz, &mut zs) {
+                    // SAFETY: [lo, hi) of this row lies inside every slab and
+                    // inside the caller's exclusive x-planes.
+                    unsafe { kc.collide_row::<true>(base_ptr.add(dbase), slab_len, lo, hi) };
                 }
             }
         }
@@ -944,7 +378,6 @@ unsafe fn even_block_avx2<const THIRD: bool, O: CollideOp>(
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn odd_cells_raw<O: CollideOp>(
     base_ptr: *mut f64,
-    total: usize,
     slab_len: usize,
     ctx: &KernelCtx,
     oc: &OpConsts,
@@ -954,228 +387,338 @@ pub(crate) unsafe fn odd_cells_raw<O: CollideOp>(
     x_lo: usize,
     x_hi: usize,
     xw: XShift,
-    tune: AaTune,
+    simd: bool,
 ) {
-    let q = ctx.lat.q();
-    let nz = d.nz;
-    let mask = bounds.mask();
-    let nt = nt_active(tune);
-    let vel = ctx.lat.velocities().to_vec();
-    let mut fq = [[0.0f64; ZBA]; MAX_Q];
+    let s = Sweep {
+        base_ptr,
+        slab_len,
+        ctx,
+        oc,
+        bounds,
+        d,
+        x_lo,
+        x_hi,
+    };
+    // SAFETY: forwarded contract.
+    unsafe {
+        if ctx.third_order() {
+            let k = Odd::<true, O> {
+                s,
+                tables,
+                xw,
+                op: PhantomData,
+            };
+            lanes::dispatch::<_, true>(&k, simd);
+        } else {
+            let k = Odd::<false, O> {
+                s,
+                tables,
+                xw,
+                op: PhantomData,
+            };
+            lanes::dispatch::<_, true>(&k, simd);
+        }
+    }
+}
 
-    for x in x_lo..x_hi {
-        for y in 0..d.ny {
-            let wall = bounds.wall_row_kind(d.ny, y);
-            if matches!(wall, Some(WallKind::BounceBack)) {
-                continue; // AA odd bounce-back is the identity
-            }
-            // Prefetch on the first z-block of each row only (the later
-            // blocks of the row hit the rows the first block touched).
-            let mut prefetch = true;
-            if let Some(kind) = wall {
-                let mut z0 = 0usize;
-                while z0 < nz {
-                    let blk = (nz - z0).min(ZBA);
-                    // SAFETY: gather planes x−c are inside the allocation
-                    // per the odd-bounds contract.
-                    unsafe {
-                        gather_swapped(
-                            base_ptr, total, slab_len, &vel, oc, tables, d, q, x, y, z0, blk,
-                            &mut fq, prefetch, xw,
-                        )
-                    };
-                    prefetch = false;
-                    // SAFETY: scatter planes x+c inside the allocation.
-                    unsafe {
-                        store_wall_odd(
-                            ctx, kind, &fq, oc, &vel, tables, d, q, base_ptr, total, slab_len, x,
-                            y, z0, blk, xw,
-                        )
-                    };
-                    z0 += blk;
+/// The odd traversal.
+struct Odd<'a, const THIRD: bool, O> {
+    s: Sweep<'a>,
+    tables: &'a StreamTables,
+    xw: XShift,
+    op: PhantomData<O>,
+}
+
+impl<const THIRD: bool, O: CollideOp> LaneKernel for Odd<'_, THIRD, O> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(&self) {
+        let total = self.s.total();
+        let Sweep {
+            base_ptr,
+            slab_len,
+            ctx,
+            oc,
+            bounds,
+            d,
+            x_lo,
+            x_hi,
+        } = self.s;
+        let (tables, xw) = (self.tables, self.xw);
+        let q = ctx.lat.q();
+        let nz = d.nz;
+        let mask = bounds.mask();
+        let vel = ctx.lat.velocities();
+        let kc = CellKernel::<L, THIRD, O>::new(ctx, oc);
+        let mut fq = [[0.0f64; ZBA]; MAX_Q];
+
+        for x in x_lo..x_hi {
+            for y in 0..d.ny {
+                let wall = bounds.wall_row_kind(d.ny, y);
+                if matches!(wall, Some(WallKind::BounceBack)) {
+                    continue; // AA odd bounce-back is the identity
                 }
-                continue;
-            }
-            // Fluid row, tile-free: the gather row of velocity `i` (slab
-            // `opp(i)`, plane `x−cx_i`, row `wrap(y−cy_i)`, z shifted by
-            // `−cz_i`) is *also* the scatter destination of `t_opp(i)` —
-            // the scatter row of `o = opp(i)` is slab `o`, plane
-            // `x+cx_o = x−cx_i`, row `wrap(y+cy_o) = wrap(y−cy_i)`, start
-            // `wrap(z0+cz_o) = wrap(z0−cz_i)`. So the odd step, like the
-            // even step, is a pure velocity-pair in-place swap — just on
-            // double-shifted rows — and needs no gather-tile round trip.
-            let mut rows = [0usize; MAX_Q];
-            for (i, c) in vel.iter().enumerate().take(q) {
-                let xs = xw.src(x, c[0]);
-                let ys = tables.y_for(c[1]).src(y);
-                rows[i] = oc.opp[i] * slab_len + d.idx(xs, ys, 0);
-                debug_assert!(rows[i] + nz <= total);
-            }
-            prefetch_rows_ahead(base_ptr, total, &rows[..q], nz);
-            let mut zs = 0usize;
-            while let Some((run_lo, run_hi)) = op::next_fluid_run(mask, y, nz, &mut zs) {
-                let mut z0 = run_lo;
-                while z0 < run_hi {
-                    let blk = (run_hi - z0).min(ZBA);
+                // The gather row of velocity `i` (slab `opp(i)`, plane
+                // `x−cx_i`, row `wrap(y−cy_i)`, z shifted by `−cz_i`) is
+                // *also* the scatter destination of `t_opp(i)` — the scatter
+                // row of `o = opp(i)` is slab `o`, plane `x+cx_o = x−cx_i`,
+                // row `wrap(y+cy_o) = wrap(y−cy_i)`, start
+                // `wrap(z0+cz_o) = wrap(z0−cz_i)`. So the odd step, like the
+                // even step, is a velocity-pair in-place swap on
+                // double-shifted rows. Prefetching each row's successor
+                // therefore covers the scatter destinations too.
+                let mut rows = [0usize; MAX_Q];
+                for (i, c) in vel.iter().enumerate().take(q) {
+                    let xs = xw.src(x, c[0]);
+                    let ys = tables.y_for(c[1]).src(y);
+                    rows[i] = oc.opp[i] * slab_len + d.idx(xs, ys, 0);
+                    debug_assert!(rows[i] + nz <= total);
+                    prefetch_span(base_ptr, rows[i] + nz, (rows[i] + 2 * nz).min(total));
+                }
+                if let Some(kind) = wall {
+                    let mut z0 = 0usize;
+                    while z0 < nz {
+                        let blk = (nz - z0).min(ZBA);
+                        // SAFETY: gather rows are inside the allocation per
+                        // the odd-bounds contract.
+                        unsafe { gather_swapped(base_ptr, &rows, vel, q, nz, z0, blk, &mut fq) };
+                        // SAFETY: scatter planes x+c inside the allocation.
+                        unsafe {
+                            store_wall_odd(
+                                ctx, kind, &fq, oc, vel, tables, d, q, base_ptr, total, slab_len,
+                                x, y, z0, blk, xw,
+                            )
+                        };
+                        z0 += blk;
+                    }
+                    continue;
+                }
+                let mut zs = 0usize;
+                while let Some((lo, hi)) = op::next_fluid_run(mask, y, nz, &mut zs) {
                     let mut starts = [0usize; MAX_Q];
                     for (i, c) in vel.iter().enumerate().take(q) {
-                        starts[i] = (z0 as isize - c[2] as isize).rem_euclid(nz as isize) as usize;
+                        starts[i] = (lo as isize - c[2] as isize).rem_euclid(nz as isize) as usize;
                     }
                     // SAFETY: every gather row is inside the allocation per
                     // the odd-bounds contract; the pair swap touches exactly
-                    // the slots this writer owns.
-                    unsafe { odd_block::<O>(ctx, oc, base_ptr, &rows, &starts, nz, blk, tune) };
-                    z0 += blk;
+                    // the slots these writers own.
+                    unsafe { odd_run(&kc, base_ptr, &rows, &starts, nz, hi - lo) };
                 }
             }
         }
     }
-    if nt {
-        sfence();
+}
+
+/// Lanes of a run that never meet a row seam after the head: at most
+/// `|cz| ≤ 3` lanes of a rotated row precede its wrap, so after the first
+/// `SEAM` lanes a source that wraps near the run start has wrapped for good.
+const SEAM: usize = 4;
+
+/// One fluid z-run of `blk` writer cells on double-shifted rows: `rows[i]`
+/// is the gather row of velocity `i` and `starts[i]` its z-rotation at the
+/// run start; the same (row, rotation) is the scatter destination of
+/// `t_opp(i)`, so every lane group runs `collide_group` with the AA
+/// cross-store.
+///
+/// A writer run never wraps in z, so a velocity's rotated source can cross
+/// the row seam only within the first `|cz|` lanes (when `starts[i]` sits at
+/// the top of the row) or the last `|cz|` lanes (when the run reaches it).
+/// Groups in `[mid_lo, mid_hi)` are therefore seam-free for *every* velocity
+/// and load through fixed pointers `fp[i]`; only the head and end groups take
+/// the rotated path, and the last `blk % N` cells the `Scalar` one.
+///
+/// # Safety
+/// Every `rows[i] + nz` must be ≤ the allocation length; `blk ≤ nz`; the
+/// caller owns all slots `(x + c_j, j)` of these writers exclusively.
+#[inline(always)]
+unsafe fn odd_run<L: Lanes, const THIRD: bool, O: CollideOp>(
+    kc: &CellKernel<'_, L, THIRD, O>,
+    base_ptr: *mut f64,
+    rows: &[usize; MAX_Q],
+    starts: &[usize; MAX_Q],
+    nz: usize,
+    blk: usize,
+) {
+    let (q, oc) = (kc.q, kc.oc);
+    let vec_end = blk / L::N * L::N;
+    let mut fp = [base_ptr; MAX_Q];
+    let mut mid_hi = vec_end;
+    for i in 0..q {
+        let s = starts[i];
+        // After the head, sources with `s + SEAM > nz` have wrapped for
+        // good: constant offset `s − nz`. Others sit at `s` until the seam.
+        let off = if s + SEAM > nz {
+            s as isize - nz as isize
+        } else {
+            s as isize
+        };
+        fp[i] = base_ptr.wrapping_add(rows[i]).wrapping_offset(off);
+        if s + SEAM <= nz && s + vec_end > nz {
+            // Wraps at lane nz−s near the run end: stop the fast range at
+            // the last whole group before the seam.
+            mid_hi = mid_hi.min((nz - s) / L::N * L::N);
+        }
+    }
+    let mid_lo = SEAM.min(vec_end);
+    let mid_hi = mid_hi.max(mid_lo);
+    let rotated = |z| Rotated {
+        base_ptr,
+        rows,
+        starts,
+        nz,
+        z,
+    };
+    let mut z = 0usize;
+    // SAFETY: every group reads and writes only these writers' slots.
+    unsafe {
+        while z < mid_lo {
+            collide_group::<L, THIRD, true, O, _>(&kc.k, oc, q, &rotated(z));
+            z += L::N;
+        }
+        while z < mid_hi {
+            collide_group::<L, THIRD, true, O, _>(&kc.k, oc, q, &Shifted { fp: &fp, z });
+            z += L::N;
+        }
+        while z < vec_end {
+            collide_group::<L, THIRD, true, O, _>(&kc.k, oc, q, &rotated(z));
+            z += L::N;
+        }
+        while z < blk {
+            collide_group::<Scalar, THIRD, true, O, _>(&kc.tail, oc, q, &rotated(z));
+            z += 1;
+        }
+    }
+}
+
+/// Lane group `z` of the seam-free range: velocity `i` at `fp[i] + z`.
+struct Shifted<'a> {
+    fp: &'a [*mut f64; MAX_Q],
+    z: usize,
+}
+
+impl<L: Lanes> Slots<L> for Shifted<'_> {
+    #[inline(always)]
+    unsafe fn load(&self, i: usize) -> L {
+        // SAFETY: in the seam-free range `fp[i] + z .. + N` is in-row.
+        unsafe { L::load(self.fp[i].wrapping_add(self.z)) }
+    }
+    #[inline(always)]
+    unsafe fn store(&self, i: usize, v: L) {
+        // SAFETY: as for `load`.
+        unsafe { v.store(self.fp[i].wrapping_add(self.z)) }
+    }
+}
+
+/// Lane group `z` of a rotated run: velocity `i`'s lanes are
+/// `row_i[wrap(starts[i] + z + l)]`.
+struct Rotated<'a> {
+    base_ptr: *mut f64,
+    rows: &'a [usize; MAX_Q],
+    starts: &'a [usize; MAX_Q],
+    nz: usize,
+    z: usize,
+}
+
+impl Rotated<'_> {
+    /// Row pointer and the first lane's unwrapped index of velocity `i`.
+    #[inline(always)]
+    fn at(&self, i: usize) -> (*mut f64, usize) {
+        (
+            self.base_ptr.wrapping_add(self.rows[i]),
+            self.starts[i] + self.z,
+        )
+    }
+}
+
+impl<L: Lanes> Slots<L> for Rotated<'_> {
+    #[inline(always)]
+    unsafe fn load(&self, i: usize) -> L {
+        let (p, t) = self.at(i);
+        let nz = self.nz;
+        // SAFETY: every index is wrapped into the row `[0, nz)`.
+        unsafe {
+            if t + L::N <= nz {
+                L::load(p.add(t))
+            } else if t >= nz {
+                L::load(p.add(t - nz))
+            } else {
+                let mut lanes = [0.0f64; 4];
+                for (l, v) in lanes.iter_mut().enumerate().take(L::N) {
+                    *v = *p.add((t + l) % nz);
+                }
+                L::load(lanes.as_ptr())
+            }
+        }
+    }
+    #[inline(always)]
+    unsafe fn store(&self, i: usize, v: L) {
+        let (p, t) = self.at(i);
+        let nz = self.nz;
+        // SAFETY: as for `load`.
+        unsafe {
+            if t + L::N <= nz {
+                v.store(p.add(t));
+            } else if t >= nz {
+                v.store(p.add(t - nz));
+            } else {
+                let mut lanes = [0.0f64; 4];
+                v.store(lanes.as_mut_ptr());
+                for (l, val) in lanes.iter().enumerate().take(L::N) {
+                    *p.add((t + l) % nz) = *val;
+                }
+            }
+        }
     }
 }
 
 /// Gather the swapped arrivals of one z-block into `fq`:
-/// `fq[i][j] = A[x−c_i][wrap(y−cy_i)][wrap(z0+j−cz_i)][opp(i)]`.
-///
-/// With `prefetch` (once per row), each velocity's *next* y-row source is
-/// software-prefetched — the AA adaptation of `fused_simd`'s
-/// next-src-row-plus-destination-RFO pattern. The 2Q double-shifted streams defeat the
-/// hardware stride prefetcher, and no separate destination prefetch is
-/// needed: the scatter row of velocity `i` at `(x, y)` *is* this gather's
-/// row for `opp(i)` (same slab `i`, same plane `x + cx_i`, same row
-/// `wrap(y + cy_i)`), so every scatter destination is already resident.
+/// `fq[i][j] = A[x−c_i][wrap(y−cy_i)][wrap(z0+j−cz_i)][opp(i)]`, with
+/// `rows[i]` the gather row of velocity `i`.
 ///
 /// # Safety
-/// Layout contract as for [`odd_cells_raw`]; `x ± k` must be valid planes.
+/// Every `rows[i] + nz` must be ≤ the allocation length; `blk ≤ ZBA`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn gather_swapped(
     base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
+    rows: &[usize; MAX_Q],
     vel: &[[i32; 3]],
-    oc: &OpConsts,
-    tables: &StreamTables,
-    d: Dim3,
     q: usize,
-    x: usize,
-    y: usize,
+    nz: usize,
     z0: usize,
     blk: usize,
     fq: &mut [[f64; ZBA]; MAX_Q],
-    prefetch: bool,
-    xw: XShift,
 ) {
-    let nz = d.nz;
     for (i, c) in vel.iter().enumerate().take(q) {
-        let xs = xw.src(x, c[0]);
-        let ys = tables.y_for(c[1]).src(y);
-        let row = oc.opp[i] * slab_len + d.idx(xs, ys, 0);
-        debug_assert!(row + nz <= total);
-        #[cfg(target_arch = "x86_64")]
-        if prefetch {
-            // SAFETY: PREFETCHT0 is a hint and cannot fault; clamped below.
-            unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                let mut p = row + nz;
-                let end = (row + 2 * nz).min(total);
-                while p < end {
-                    _mm_prefetch::<_MM_HINT_T0>(base_ptr.add(p) as *const i8);
-                    p += 8;
-                }
-            }
-        }
         let start = (z0 as isize - c[2] as isize).rem_euclid(nz as isize) as usize;
-        let line = fq[i].as_mut_ptr();
-        // SAFETY: row+nz ≤ total; both rotate segments stay inside the row.
-        unsafe {
-            let src = base_ptr.add(row) as *const f64;
-            if start + blk <= nz {
-                std::ptr::copy_nonoverlapping(src.add(start), line, blk);
-            } else {
-                let first = nz - start;
-                std::ptr::copy_nonoverlapping(src.add(start), line, first);
-                std::ptr::copy_nonoverlapping(src, line.add(first), blk - first);
-            }
-        }
+        // SAFETY: rows[i]+nz ≤ total; both rotate segments stay inside.
+        unsafe { rotate_copy(base_ptr.add(rows[i]), fq[i].as_mut_ptr(), start, blk, nz) };
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = prefetch;
 }
 
-/// Rotate-copy `blk` doubles from `line` into a field row of length `nz`
-/// starting at (wrapped) `start`. With `nt` the contiguous segments stream
-/// past the cache (caller guarantees AVX and that the destination is
-/// write-only for the rest of the step).
+/// Copy `blk` doubles from a row of length `nz`, starting at `start` and
+/// wrapping at the row end, to `out`.
 ///
 /// # Safety
-/// `row_ptr` must be valid for `nz` doubles; `blk ≤ nz`; `nt` only when
-/// AVX is available.
-unsafe fn scatter_line(
-    line: *const f64,
-    row_ptr: *mut f64,
-    start: usize,
-    blk: usize,
-    nz: usize,
-    nt: bool,
-) {
+/// `row` valid for `nz` reads, `out` for `blk` writes; `blk ≤ nz`.
+unsafe fn rotate_copy(row: *const f64, out: *mut f64, start: usize, blk: usize, nz: usize) {
+    let first = blk.min(nz - start);
     // SAFETY: both segments stay inside the row per the contract.
     unsafe {
-        if start + blk <= nz {
-            copy_segment(line, row_ptr.add(start), blk, nt);
-        } else {
-            let first = nz - start;
-            copy_segment(line, row_ptr.add(start), first, nt);
-            copy_segment(line.add(first), row_ptr, blk - first, nt);
-        }
+        std::ptr::copy_nonoverlapping(row.add(start), out, first);
+        std::ptr::copy_nonoverlapping(row, out.add(first), blk - first);
     }
 }
 
-/// Copy `n` doubles, optionally via non-temporal stores (unaligned head
-/// and tail fall back to regular stores; values are identical either way).
+/// Rotate-copy `blk` doubles from `line` into a row of length `nz` starting
+/// at (wrapped) `start` — the inverse of [`rotate_copy`].
 ///
 /// # Safety
-/// `src`/`dst` valid for `n` doubles, non-overlapping; `nt` only when AVX
-/// is available.
-#[inline]
-unsafe fn copy_segment(src: *const f64, dst: *mut f64, n: usize, nt: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if nt {
-        // SAFETY: AVX presence guaranteed by the caller (`nt_active`).
-        unsafe { copy_segment_nt(src, dst, n) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = nt;
-    // SAFETY: forwarded contract.
-    unsafe { std::ptr::copy_nonoverlapping(src, dst, n) };
-}
-
-/// Streaming copy: scalar head until the destination is 32-byte aligned,
-/// 4-lane `MOVNTPD` middle, scalar tail.
-///
-/// # Safety
-/// AVX must be available; `src`/`dst` valid for `n` doubles,
-/// non-overlapping.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn copy_segment_nt(src: *const f64, dst: *mut f64, n: usize) {
-    use std::arch::x86_64::{_mm256_loadu_pd, _mm256_stream_pd};
-    // SAFETY: all offsets below stay inside [0, n).
+/// `row` valid for `nz` writes, `line` for `blk` reads; `blk ≤ nz`.
+unsafe fn scatter_line(line: *const f64, row: *mut f64, start: usize, blk: usize, nz: usize) {
+    let first = blk.min(nz - start);
+    // SAFETY: both segments stay inside the row per the contract.
     unsafe {
-        let mut i = 0usize;
-        while i < n && (dst.add(i) as usize) & 31 != 0 {
-            *dst.add(i) = *src.add(i);
-            i += 1;
-        }
-        while i + 4 <= n {
-            _mm256_stream_pd(dst.add(i), _mm256_loadu_pd(src.add(i)));
-            i += 4;
-        }
-        while i < n {
-            *dst.add(i) = *src.add(i);
-            i += 1;
-        }
+        std::ptr::copy_nonoverlapping(line, row.add(start), first);
+        std::ptr::copy_nonoverlapping(line.add(first), row, blk - first);
     }
 }
 
@@ -1302,601 +845,8 @@ unsafe fn store_wall_odd(
         let row = i * slab_len + d.idx(xd, yd, 0);
         debug_assert!(row + nz <= total);
         let start = (z0 as isize + c[2] as isize).rem_euclid(nz as isize) as usize;
-        // SAFETY: row+nz ≤ total; segments inside the row (wall rows keep
-        // regular stores — O(boundary) work).
-        unsafe { scatter_line(t.as_ptr(), base_ptr.add(row), start, blk, nz, false) };
-    }
-}
-
-/// One tile-free odd z-block: the velocity-pair in-place swap on
-/// double-shifted rows. `rows[i]` is the gather row of velocity `i` (slab
-/// `opp(i)`, plane `x−cx_i`, row `wrap(y−cy_i)`) and `starts[i]` its
-/// z-rotation `wrap(z0−cz_i)`; the same (row, rotation) is the scatter
-/// destination of `t_opp(i)`, so the moment pass reads every row in place
-/// and the relax pass cross-stores each pair — no gather/scatter tile.
-/// Dispatches the AVX2+FMA or scalar body.
-///
-/// # Safety
-/// Every `rows[i] + nz` must be ≤ the allocation length; `blk ≤ nz`; the
-/// caller owns all slots `(x + c_j, j)` of this writer row exclusively.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-unsafe fn odd_block<O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    base_ptr: *mut f64,
-    rows: &[usize; MAX_Q],
-    starts: &[usize; MAX_Q],
-    nz: usize,
-    blk: usize,
-    tune: AaTune,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tune.simd && simd::simd_available() {
-            // SAFETY: feature presence checked; contract forwarded.
-            unsafe {
-                if ctx.third_order() {
-                    odd_block_avx2::<true, O>(ctx, oc, base_ptr, rows, starts, nz, blk, tune.nt);
-                } else {
-                    odd_block_avx2::<false, O>(ctx, oc, base_ptr, rows, starts, nz, blk, tune.nt);
-                }
-            }
-            return;
-        }
-    }
-    // SAFETY: contract forwarded.
-    unsafe {
-        if ctx.third_order() {
-            odd_block_scalar::<true, O>(ctx, oc, base_ptr, rows, starts, nz, blk);
-        } else {
-            odd_block_scalar::<false, O>(ctx, oc, base_ptr, rows, starts, nz, blk);
-        }
-    }
-}
-
-/// Scalar tile-free odd z-block — identical accumulation order and
-/// expressions as the shared two-grid scalar body ([`op::collide_cells`]),
-/// applied to the rotated gather rows, so scalar AA runs stay bitwise the
-/// streamed image of scalar two-grid runs.
-///
-/// # Safety
-/// See [`odd_block`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    base_ptr: *mut f64,
-    rows: &[usize; MAX_Q],
-    starts: &[usize; MAX_Q],
-    nz: usize,
-    blk: usize,
-) {
-    let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let hg = oc.half_g;
-    let g = oc.g;
-
-    let mut rho = [0.0f64; ZBA];
-    let mut mx = [0.0f64; ZBA];
-    let mut my = [0.0f64; ZBA];
-    let mut mz = [0.0f64; ZBA];
-    let mut ux = [0.0f64; ZBA];
-    let mut uy = [0.0f64; ZBA];
-    let mut uz = [0.0f64; ZBA];
-    let mut u2 = [0.0f64; ZBA];
-    let mut ug = [0.0f64; ZBA];
-
-    rho[..blk].fill(0.0);
-    mx[..blk].fill(0.0);
-    my[..blk].fill(0.0);
-    mz[..blk].fill(0.0);
-    for i in 0..q {
-        let c = oc.cw[i];
-        let s = starts[i];
-        // SAFETY: rows[i] + nz ≤ total per the contract; both rotation
-        // segments stay inside the row.
-        let p = unsafe { base_ptr.add(rows[i]) as *const f64 };
-        let l1 = blk.min(nz - s);
-        for j in 0..l1 {
-            let fv = unsafe { *p.add(s + j) };
-            rho[j] += fv;
-            mx[j] += fv * c[0];
-            my[j] += fv * c[1];
-            mz[j] += fv * c[2];
-        }
-        for j in l1..blk {
-            let fv = unsafe { *p.add(j - l1) };
-            rho[j] += fv;
-            mx[j] += fv * c[0];
-            my[j] += fv * c[1];
-            mz[j] += fv * c[2];
-        }
-    }
-    for j in 0..blk {
-        let inv = 1.0 / rho[j];
-        if O::FORCED {
-            ux[j] = (mx[j] + hg[0]) * inv;
-            uy[j] = (my[j] + hg[1]) * inv;
-            uz[j] = (mz[j] + hg[2]) * inv;
-            ug[j] = ux[j] * g[0] + uy[j] * g[1] + uz[j] * g[2];
-        } else {
-            ux[j] = mx[j] * inv;
-            uy[j] = my[j] * inv;
-            uz[j] = mz[j] * inv;
-        }
-        u2[j] = ux[j] * ux[j] + uy[j] * uy[j] + uz[j] * uz[j];
-    }
-    // Relax in velocity pairs: the row holding a_i receives t_opp(i), so
-    // each pair is loaded, collided, and cross-stored in one rotation-aware
-    // loop — both loads precede both stores at every lane.
-    for i in 0..q {
-        let o = oc.opp[i];
-        if o < i {
-            continue; // pair already done
-        }
-        // SAFETY: offsets bounded by rows[·] + nz ≤ total; the running
-        // rotation indices stay < nz.
-        let pi = unsafe { base_ptr.add(rows[i]) };
-        let mut zi = starts[i];
-        if o == i {
-            // Self-opposite (rest velocity): unshifted, in place.
-            for j in 0..blk {
-                // SAFETY: zi < nz.
-                unsafe {
-                    let fv = *pi.add(zi);
-                    *pi.add(zi) = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[j], ux[j], uy[j], uz[j], u2[j], ug[j], fv,
-                    );
-                }
-                zi += 1;
-                if zi == nz {
-                    zi = 0;
-                }
-            }
-        } else {
-            let po = unsafe { base_ptr.add(rows[o]) };
-            let mut zo = starts[o];
-            for j in 0..blk {
-                // SAFETY: zi, zo < nz; both loads precede both stores.
-                unsafe {
-                    let fi = *pi.add(zi);
-                    let fo = *po.add(zo);
-                    let ti = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[j], ux[j], uy[j], uz[j], u2[j], ug[j], fi,
-                    );
-                    let to = relax_one::<THIRD, O>(
-                        k, oc, o, omega, rho[j], ux[j], uy[j], uz[j], u2[j], ug[j], fo,
-                    );
-                    *po.add(zo) = ti;
-                    *pi.add(zi) = to;
-                }
-                zi += 1;
-                if zi == nz {
-                    zi = 0;
-                }
-                zo += 1;
-                if zo == nz {
-                    zo = 0;
-                }
-            }
-        }
-    }
-}
-
-/// AVX2+FMA tile-free odd z-block: the same vector recipe as
-/// [`even_block_avx2`] with every load/store routed through the per-row
-/// z-rotation (contiguous 4-lane accesses away from the wrap seam, lane
-/// assembly across it — at most one seam group per row per block, and the
-/// lane grid matches the unrotated kernels so the arithmetic is identical).
-/// With `nt`, aligned contiguous pair stores stream past the cache.
-///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available; layout contract as for
-/// [`odd_block`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn odd_block_avx2<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    base_ptr: *mut f64,
-    rows: &[usize; MAX_Q],
-    starts: &[usize; MAX_Q],
-    nz: usize,
-    blk: usize,
-    nt: bool,
-) {
-    use std::arch::x86_64::*;
-
-    const LANES: usize = 4;
-    let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let hg = oc.half_g;
-    let g = oc.g;
-
-    let mut rho = [0.0f64; ZBA];
-    let mut vux = [0.0f64; ZBA];
-    let mut vuy = [0.0f64; ZBA];
-    let mut vuz = [0.0f64; ZBA];
-    let mut vu2 = [0.0f64; ZBA];
-    let mut vug = [0.0f64; ZBA];
-
-    // SAFETY: every access below stays inside `rows[·] + nz ≤ total` (the
-    // rotation keeps indices < nz; 4-lane groups only run where blk ≥ 4,
-    // which forces nz ≥ 4 so the wrapped lane index needs one subtraction).
-    unsafe {
-        // 4 lanes of `row[wrap(s + z .. s + z + 4)]`.
-        macro_rules! load4_rot {
-            ($p:expr, $s:expr, $z:expr) => {{
-                let t = $s + $z;
-                if t + LANES <= nz {
-                    _mm256_loadu_pd($p.add(t))
-                } else if t >= nz {
-                    _mm256_loadu_pd($p.add(t - nz))
-                } else {
-                    let i1 = if t + 1 >= nz { t + 1 - nz } else { t + 1 };
-                    let i2 = if t + 2 >= nz { t + 2 - nz } else { t + 2 };
-                    let i3 = if t + 3 >= nz { t + 3 - nz } else { t + 3 };
-                    _mm256_setr_pd(*$p.add(t), *$p.add(i1), *$p.add(i2), *$p.add(i3))
-                }
-            }};
-        }
-        // The rotated store mirror; `$nt` streams aligned contiguous groups.
-        macro_rules! store4_rot {
-            ($p:expr, $s:expr, $z:expr, $v:expr, $nt:expr) => {{
-                let t = $s + $z;
-                if t + LANES <= nz || t >= nz {
-                    let dst = $p.add(if t >= nz { t - nz } else { t });
-                    if $nt && (dst as usize) & 31 == 0 {
-                        _mm256_stream_pd(dst, $v);
-                    } else {
-                        _mm256_storeu_pd(dst, $v);
-                    }
-                } else {
-                    let mut tmp = [0.0f64; LANES];
-                    _mm256_storeu_pd(tmp.as_mut_ptr(), $v);
-                    for (l, val) in tmp.iter().enumerate() {
-                        let mut u = t + l;
-                        if u >= nz {
-                            u -= nz;
-                        }
-                        *$p.add(u) = *val;
-                    }
-                }
-            }};
-        }
-
-        let v_one = _mm256_set1_pd(1.0);
-        let v_omega = _mm256_set1_pd(omega);
-        let v_inv_cs2 = _mm256_set1_pd(k.inv_cs2);
-        let v_inv_2cs4 = _mm256_set1_pd(k.inv_2cs4);
-        let v_inv_2cs2 = _mm256_set1_pd(k.inv_2cs2);
-        let v_inv_6cs6 = _mm256_set1_pd(k.inv_6cs6);
-        let v_3cs2 = _mm256_set1_pd(3.0 * k.cs2);
-
-        let vec_end = blk - blk % LANES;
-
-        // Seam analysis: writer runs never wrap in z (`run_hi ≤ nz`), so a
-        // velocity's rotated source can cross the row seam only within the
-        // first |cz| lanes (when `starts[i]` sits at the top of the row) or
-        // the last |cz| lanes (when the run reaches it) — never mid-block.
-        // Groups in `[mid_lo, mid_hi)` are therefore seam-free for *every*
-        // velocity and run branchless on pre-offset pointers `fp[i]`; only
-        // the first and last lane groups take the 3-way rotated path.
-        let mut fp = [base_ptr as *const f64; MAX_Q];
-        let mut mid_hi = vec_end;
-        for i in 0..q {
-            let s = starts[i];
-            // After the head group, sources with `s + LANES > nz` have
-            // wrapped for good: constant offset `s − nz`. Others sit at `s`.
-            let off = if s + LANES > nz {
-                s as isize - nz as isize
-            } else {
-                s as isize
-            };
-            fp[i] = base_ptr.add(rows[i]).offset(off) as *const f64;
-            if s + LANES <= nz && s + vec_end > nz {
-                // Wraps at lane nz−s near the block end: stop the fast
-                // range at the last whole group before the seam.
-                mid_hi = mid_hi.min((nz - s) & !(LANES - 1));
-            }
-        }
-        let mid_lo = LANES.min(vec_end);
-        let mid_hi = mid_hi.max(mid_lo);
-
-        // One moment lane group at `z`; `$fast` selects the seam-free
-        // pre-offset loads (the two variants read identical lane values).
-        macro_rules! moment_group {
-            ($z:expr, $fast:expr) => {{
-                let z = $z;
-                let mut vrho = _mm256_setzero_pd();
-                let mut vmx = _mm256_setzero_pd();
-                let mut vmy = _mm256_setzero_pd();
-                let mut vmz = _mm256_setzero_pd();
-                for i in 0..q {
-                    let c = oc.cw[i];
-                    let fv = if $fast {
-                        _mm256_loadu_pd(fp[i].add(z))
-                    } else {
-                        load4_rot!(base_ptr.add(rows[i]) as *const f64, starts[i], z)
-                    };
-                    vrho = _mm256_add_pd(vrho, fv);
-                    if c[0] != 0.0 {
-                        vmx = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[0]), vmx);
-                    }
-                    if c[1] != 0.0 {
-                        vmy = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[1]), vmy);
-                    }
-                    if c[2] != 0.0 {
-                        vmz = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[2]), vmz);
-                    }
-                }
-                let vinv = _mm256_div_pd(v_one, vrho);
-                if O::FORCED {
-                    vmx = _mm256_add_pd(vmx, _mm256_set1_pd(hg[0]));
-                    vmy = _mm256_add_pd(vmy, _mm256_set1_pd(hg[1]));
-                    vmz = _mm256_add_pd(vmz, _mm256_set1_pd(hg[2]));
-                }
-                let ux = _mm256_mul_pd(vmx, vinv);
-                let uy = _mm256_mul_pd(vmy, vinv);
-                let uz = _mm256_mul_pd(vmz, vinv);
-                let u2 = _mm256_fmadd_pd(ux, ux, _mm256_fmadd_pd(uy, uy, _mm256_mul_pd(uz, uz)));
-                let ugv = if O::FORCED {
-                    _mm256_fmadd_pd(
-                        ux,
-                        _mm256_set1_pd(g[0]),
-                        _mm256_fmadd_pd(
-                            uy,
-                            _mm256_set1_pd(g[1]),
-                            _mm256_mul_pd(uz, _mm256_set1_pd(g[2])),
-                        ),
-                    )
-                } else {
-                    _mm256_setzero_pd()
-                };
-                _mm256_storeu_pd(rho.as_mut_ptr().add(z), vrho);
-                _mm256_storeu_pd(vux.as_mut_ptr().add(z), ux);
-                _mm256_storeu_pd(vuy.as_mut_ptr().add(z), uy);
-                _mm256_storeu_pd(vuz.as_mut_ptr().add(z), uz);
-                _mm256_storeu_pd(vu2.as_mut_ptr().add(z), u2);
-                _mm256_storeu_pd(vug.as_mut_ptr().add(z), ugv);
-            }};
-        }
-
-        let mut z = 0usize;
-        while z < mid_lo {
-            moment_group!(z, false);
-            z += LANES;
-        }
-        while z < mid_hi {
-            moment_group!(z, true);
-            z += LANES;
-        }
-        while z < vec_end {
-            moment_group!(z, false);
-            z += LANES;
-        }
-        // Scalar tail for the moment pass (reciprocal form, as in `simd`).
-        while z < blk {
-            let mut r = 0.0;
-            let mut m = [0.0f64; 3];
-            for i in 0..q {
-                let c = oc.cw[i];
-                let mut t = starts[i] + z;
-                if t >= nz {
-                    t -= nz;
-                }
-                let fv = *base_ptr.add(rows[i] + t);
-                r += fv;
-                m[0] += fv * c[0];
-                m[1] += fv * c[1];
-                m[2] += fv * c[2];
-            }
-            let inv = 1.0 / r;
-            let u = if O::FORCED {
-                [
-                    (m[0] + hg[0]) * inv,
-                    (m[1] + hg[1]) * inv,
-                    (m[2] + hg[2]) * inv,
-                ]
-            } else {
-                [m[0] * inv, m[1] * inv, m[2] * inv]
-            };
-            rho[z] = r;
-            vux[z] = u[0];
-            vuy[z] = u[1];
-            vuz[z] = u[2];
-            vu2[z] = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-            vug[z] = u[0] * g[0] + u[1] * g[1] + u[2] * g[2];
-            z += 1;
-        }
-
-        // Relax pass in velocity pairs, cross-storing through the rotation
-        // (identical per-lane operation sequence to [`even_block_avx2`]).
-        // `relax_vec_m!` takes the lane group's moment vectors as operands
-        // so the z-outer interior loop can load them once per group.
-        macro_rules! relax_vec_m {
-            ($c:expr, $i:expr, $fv:expr, $ux:expr, $uy:expr, $uz:expr, $u2:expr, $vrho:expr,
-             $ug:expr) => {{
-                let c = $c;
-                let ux = $ux;
-                let uy = $uy;
-                let uz = $uz;
-                let u2 = $u2;
-                let vrho = $vrho;
-                let mut vxi = _mm256_setzero_pd();
-                if c[0] != 0.0 {
-                    vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[0]), ux, vxi);
-                }
-                if c[1] != 0.0 {
-                    vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[1]), uy, vxi);
-                }
-                if c[2] != 0.0 {
-                    vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[2]), uz, vxi);
-                }
-                let mut vpoly = _mm256_fmadd_pd(vxi, v_inv_cs2, v_one);
-                vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, vxi), v_inv_2cs4, vpoly);
-                vpoly = _mm256_fnmadd_pd(u2, v_inv_2cs2, vpoly);
-                if THIRD {
-                    let t = _mm256_fnmadd_pd(v_3cs2, u2, _mm256_mul_pd(vxi, vxi));
-                    vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, t), v_inv_6cs6, vpoly);
-                }
-                let vfeq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(c[3]), vrho), vpoly);
-                let fv = $fv;
-                let mut out = _mm256_fmadd_pd(v_omega, _mm256_sub_pd(vfeq, fv), fv);
-                if O::FORCED {
-                    let ugv = $ug;
-                    let vs = _mm256_fmadd_pd(
-                        _mm256_set1_pd(oc.sc[$i]),
-                        vxi,
-                        _mm256_fnmadd_pd(_mm256_set1_pd(oc.sb[$i]), ugv, _mm256_set1_pd(oc.sa[$i])),
-                    );
-                    out = _mm256_add_pd(out, vs);
-                }
-                out
-            }};
-        }
-        macro_rules! relax_vec {
-            ($c:expr, $i:expr, $fv:expr, $z:expr) => {{
-                let mux = _mm256_loadu_pd(vux.as_ptr().add($z));
-                let muy = _mm256_loadu_pd(vuy.as_ptr().add($z));
-                let muz = _mm256_loadu_pd(vuz.as_ptr().add($z));
-                let mu2 = _mm256_loadu_pd(vu2.as_ptr().add($z));
-                let mrho = _mm256_loadu_pd(rho.as_ptr().add($z));
-                let mug = if O::FORCED {
-                    _mm256_loadu_pd(vug.as_ptr().add($z))
-                } else {
-                    _mm256_setzero_pd()
-                };
-                relax_vec_m!($c, $i, $fv, mux, muy, muz, mu2, mrho, mug)
-            }};
-        }
-
-        // Interior fast range: z-outer / pair-inner. One load of the six
-        // moment vectors feeds every velocity pair of the lane group while
-        // they are hot in registers, and the group's Q row touches cluster
-        // in time instead of being strided across Q separate row sweeps.
-        // Bitwise-neutral: each (velocity, z) slot is read and written by
-        // exactly one pair, so the loop interchange permutes independent
-        // lane-group updates without reassociating any arithmetic.
-        let mut z = mid_lo;
-        while z < mid_hi {
-            let mux = _mm256_loadu_pd(vux.as_ptr().add(z));
-            let muy = _mm256_loadu_pd(vuy.as_ptr().add(z));
-            let muz = _mm256_loadu_pd(vuz.as_ptr().add(z));
-            let mu2 = _mm256_loadu_pd(vu2.as_ptr().add(z));
-            let mrho = _mm256_loadu_pd(rho.as_ptr().add(z));
-            let mug = if O::FORCED {
-                _mm256_loadu_pd(vug.as_ptr().add(z))
-            } else {
-                _mm256_setzero_pd()
-            };
-            // Regular (write-back) stores on purpose: this order touches one
-            // 32-byte group in each of ~Q distinct rows per iteration, so
-            // `_mm256_stream_pd` would spread partial lines across more
-            // write-combining buffers than the core has and flush them
-            // half-full — measured as a double-digit MFlup/s loss at Q=19.
-            for i in 0..q {
-                let o = oc.opp[i];
-                if o < i {
-                    continue; // pair already done
-                }
-                let fv_i = _mm256_loadu_pd(fp[i].add(z));
-                if o == i {
-                    let out = relax_vec_m!(oc.cw[i], i, fv_i, mux, muy, muz, mu2, mrho, mug);
-                    _mm256_storeu_pd((fp[i] as *mut f64).add(z), out);
-                } else {
-                    let fv_o = _mm256_loadu_pd(fp[o].add(z));
-                    let out_i = relax_vec_m!(oc.cw[i], i, fv_i, mux, muy, muz, mu2, mrho, mug);
-                    let out_o = relax_vec_m!(oc.cw[o], o, fv_o, mux, muy, muz, mu2, mrho, mug);
-                    _mm256_storeu_pd((fp[o] as *mut f64).add(z), out_i);
-                    _mm256_storeu_pd((fp[i] as *mut f64).add(z), out_o);
-                }
-            }
-            z += LANES;
-        }
-
-        for i in 0..q {
-            let o = oc.opp[i];
-            if o < i {
-                continue; // pair already done
-            }
-            let pi = base_ptr.add(rows[i]);
-            let si = starts[i];
-            let ci = oc.cw[i];
-            if o == i {
-                // Self-opposite (rest velocity): unshifted, in place. The
-                // interior groups were done by the z-outer pass above.
-                let mut z = 0usize;
-                while z < mid_lo {
-                    let out = relax_vec!(ci, i, load4_rot!(pi as *const f64, si, z), z);
-                    store4_rot!(pi, si, z, out, nt);
-                    z += LANES;
-                }
-                z = mid_hi;
-                while z < vec_end {
-                    let out = relax_vec!(ci, i, load4_rot!(pi as *const f64, si, z), z);
-                    store4_rot!(pi, si, z, out, nt);
-                    z += LANES;
-                }
-                while z < blk {
-                    let mut t = si + z;
-                    if t >= nz {
-                        t -= nz;
-                    }
-                    let fv = *pi.add(t);
-                    *pi.add(t) = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fv,
-                    );
-                    z += 1;
-                }
-            } else {
-                let po = base_ptr.add(rows[o]);
-                let so = starts[o];
-                let co = oc.cw[o];
-                let mut z = 0usize;
-                while z < mid_lo {
-                    let out_i = relax_vec!(ci, i, load4_rot!(pi as *const f64, si, z), z);
-                    let out_o = relax_vec!(co, o, load4_rot!(po as *const f64, so, z), z);
-                    store4_rot!(po, so, z, out_i, nt);
-                    store4_rot!(pi, si, z, out_o, nt);
-                    z += LANES;
-                }
-                // Interior groups were done by the z-outer pass above.
-                z = mid_hi;
-                while z < vec_end {
-                    let out_i = relax_vec!(ci, i, load4_rot!(pi as *const f64, si, z), z);
-                    let out_o = relax_vec!(co, o, load4_rot!(po as *const f64, so, z), z);
-                    store4_rot!(po, so, z, out_i, nt);
-                    store4_rot!(pi, si, z, out_o, nt);
-                    z += LANES;
-                }
-                while z < blk {
-                    let mut ti_idx = si + z;
-                    if ti_idx >= nz {
-                        ti_idx -= nz;
-                    }
-                    let mut to_idx = so + z;
-                    if to_idx >= nz {
-                        to_idx -= nz;
-                    }
-                    let fi = *pi.add(ti_idx);
-                    let fo = *po.add(to_idx);
-                    let ti = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fi,
-                    );
-                    let to = relax_one::<THIRD, O>(
-                        k, oc, o, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fo,
-                    );
-                    *po.add(to_idx) = ti;
-                    *pi.add(ti_idx) = to;
-                    z += 1;
-                }
-            }
-        }
+        // SAFETY: row+nz ≤ total; segments inside the row.
+        unsafe { scatter_line(t.as_ptr(), base_ptr.add(row), start, blk, nz) };
     }
 }
 
@@ -1968,7 +918,7 @@ mod tests {
                 dims.nx,
                 PlainBgk,
                 &BoundarySpec::periodic(),
-                AaTune::SCALAR,
+                false,
             );
 
             let expect = unswap(&c, &collided);
@@ -1993,15 +943,7 @@ mod tests {
         // (bounce-back) and masked cells are *no-ops* so they keep A's
         // natural values — the swapped comparison must account for both.
         let mut aa = a0.clone();
-        even_cells(
-            &c,
-            &mut aa,
-            0,
-            dims.nx,
-            GuoForced { g },
-            &bounds,
-            AaTune::SCALAR,
-        );
+        even_cells(&c, &mut aa, 0, dims.nx, GuoForced { g }, &bounds, false);
 
         let d = aa.alloc_dims();
         for i in 0..c.lat.q() {
@@ -2060,7 +1002,7 @@ mod tests {
                 alloc_nx - k,
                 PlainBgk,
                 &BoundarySpec::periodic(),
-                AaTune::SCALAR,
+                false,
             );
 
             // Planes [2k, alloc−2k) of `aa` are complete (all writers
@@ -2115,16 +1057,7 @@ mod tests {
                     p.slab_mut(i)[t..t + plane].copy_from_slice(&m0.slab(i)[s..s + plane]);
                 }
             }
-            odd_cells_periodic(
-                &c,
-                &tables,
-                &mut p,
-                0,
-                dims.nx,
-                PlainBgk,
-                &bounds,
-                AaTune::SCALAR,
-            );
+            odd_cells_periodic(&c, &tables, &mut p, 0, dims.nx, PlainBgk, &bounds, false);
 
             // Margin sweep with periodically filled ghosts, writers extended
             // k planes into them, exactly as the decomposed solver runs it.
@@ -2147,7 +1080,7 @@ mod tests {
                 h + dims.nx + k,
                 PlainBgk,
                 &bounds,
-                AaTune::SCALAR,
+                false,
             );
 
             for i in 0..q {
@@ -2177,15 +1110,7 @@ mod tests {
         let tables = StreamTables::new(dims.ny, dims.nz);
         let mut f = random_field(c.lat.q(), dims, 2 * k, 31);
         let before = f.clone();
-        even_cells(
-            &c,
-            &mut f,
-            2 * k,
-            2 * k + dims.nx,
-            PlainBgk,
-            &bounds,
-            AaTune::SCALAR,
-        );
+        even_cells(&c, &mut f, 2 * k, 2 * k + dims.nx, PlainBgk, &bounds, false);
         let d = f.alloc_dims();
         for i in 0..c.lat.q() {
             for x in 2 * k..2 * k + dims.nx {
@@ -2212,7 +1137,7 @@ mod tests {
             alloc_nx - k,
             PlainBgk,
             &bounds,
-            AaTune::SCALAR,
+            false,
         );
         // In the odd step, a slot `(y, i)` is written by writer cell
         // `y − c_i`; slots whose writer is itself a bounce-back wall cell
@@ -2261,7 +1186,7 @@ mod tests {
         bounds.apply(&c, &mut two_grid, 0, dims.nx);
 
         let mut aa = a0.clone();
-        even_cells(&c, &mut aa, 0, dims.nx, PlainBgk, &bounds, AaTune::SCALAR);
+        even_cells(&c, &mut aa, 0, dims.nx, PlainBgk, &bounds, false);
 
         let d = aa.alloc_dims();
         for i in 0..c.lat.q() {
@@ -2283,7 +1208,7 @@ mod tests {
 
     #[test]
     fn simd_tile_matches_scalar_within_fma_tolerance() {
-        if !simd::simd_available() {
+        if !crate::kernels::simd::simd_available() {
             return;
         }
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
@@ -2304,7 +1229,7 @@ mod tests {
                 2 * k + dims.nx,
                 GuoForced { g },
                 &bounds,
-                AaTune::SCALAR,
+                false,
             );
             even_cells(
                 &c,
@@ -2313,7 +1238,7 @@ mod tests {
                 2 * k + dims.nx,
                 GuoForced { g },
                 &bounds,
-                AaTune::for_class(true),
+                true,
             );
             let diff = s.max_abs_diff_owned(&v);
             assert!(diff < 1e-13, "{kind:?} even: {diff}");
@@ -2327,7 +1252,7 @@ mod tests {
                 alloc_nx - k,
                 GuoForced { g },
                 &bounds,
-                AaTune::SCALAR,
+                false,
             );
             odd_cells(
                 &c,
@@ -2337,7 +1262,7 @@ mod tests {
                 alloc_nx - k,
                 GuoForced { g },
                 &bounds,
-                AaTune::for_class(true),
+                true,
             );
             let diff = s.max_abs_diff_owned(&v);
             assert!(diff < 1e-12, "{kind:?} odd: {diff}");
@@ -2358,15 +1283,7 @@ mod tests {
         let tables = StreamTables::new(dims.ny, dims.nz);
         let bounds = BoundarySpec::periodic();
 
-        even_cells(
-            &c,
-            &mut f,
-            own_lo,
-            own_hi,
-            PlainBgk,
-            &bounds,
-            AaTune::SCALAR,
-        );
+        even_cells(&c, &mut f, own_lo, own_hi, PlainBgk, &bounds, false);
         // Refresh halos from the owned wrap (what the solver's exchange
         // does), then run the odd writers.
         for i in 0..c.lat.q() {
@@ -2382,16 +1299,7 @@ mod tests {
             }
         }
         let mass_mid = f.owned_mass();
-        odd_cells(
-            &c,
-            &tables,
-            &mut f,
-            k,
-            d.nx - k,
-            PlainBgk,
-            &bounds,
-            AaTune::SCALAR,
-        );
+        odd_cells(&c, &tables, &mut f, k, d.nx - k, PlainBgk, &bounds, false);
         let mass_after = f.owned_mass();
         // The even step conserves mass cell-locally; the odd step moves
         // mass between cells but the wrapped halo bookkeeping keeps the
@@ -2418,68 +1326,8 @@ mod tests {
             nx,
             PlainBgk,
             &BoundarySpec::periodic(),
-            AaTune::SCALAR,
+            false,
         );
-    }
-
-    #[test]
-    fn nt_stores_are_bitwise_identical_for_both_parities() {
-        // The NT path changes only *how* the destination slots are stored,
-        // never the values: scalar+nt ≡ scalar (odd scatter streams) and
-        // simd+nt ≡ simd (even pair stores + odd scatter stream) must be
-        // exact, across walls, mask, and force.
-        use crate::boundary::SectionMask;
-        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
-            let c = ctx(kind);
-            let k = c.lat.reach();
-            let dims = Dim3::new(7, 9, 12);
-            let bounds = BoundarySpec::periodic()
-                .with_walls(ChannelWalls::no_slip(k))
-                .with_mask(SectionMask::from_fn(9, 12, |_y, z| z == 5));
-            let tables = StreamTables::new(dims.ny, dims.nz);
-            let g = [2e-5, -1e-5, 0.0];
-            let a0 = random_field(c.lat.q(), dims, 2 * k, 71);
-
-            for simd in [false, true] {
-                let plain = AaTune { simd, nt: false };
-                let nt = AaTune { simd, nt: true };
-                let mut a = a0.clone();
-                let mut b = a0.clone();
-                even_cells(
-                    &c,
-                    &mut a,
-                    2 * k,
-                    2 * k + dims.nx,
-                    GuoForced { g },
-                    &bounds,
-                    plain,
-                );
-                even_cells(
-                    &c,
-                    &mut b,
-                    2 * k,
-                    2 * k + dims.nx,
-                    GuoForced { g },
-                    &bounds,
-                    nt,
-                );
-                assert_eq!(a.max_abs_diff_owned(&b), 0.0, "{kind:?} even simd={simd}");
-
-                let nx = a.alloc_dims().nx;
-                odd_cells(
-                    &c,
-                    &tables,
-                    &mut a,
-                    k,
-                    nx - k,
-                    GuoForced { g },
-                    &bounds,
-                    plain,
-                );
-                odd_cells(&c, &tables, &mut b, k, nx - k, GuoForced { g }, &bounds, nt);
-                assert_eq!(a.max_abs_diff_owned(&b), 0.0, "{kind:?} odd simd={simd}");
-            }
-        }
     }
 
     #[test]
@@ -2535,5 +1383,81 @@ mod tests {
             &bounds,
         );
         assert!(lo.max_abs_diff_owned(&hi) < 1e-12);
+    }
+
+    #[test]
+    fn simd_pair_is_bitwise_the_streamed_simd_two_grid_image() {
+        // One AVX2 recipe: on whole lane groups (nz % 4 == 0, no mask) the
+        // AVX2 even step is the swapped `Simd` collide and the AVX2 odd step
+        // the pull-stream of the AVX2 fused pass, bit for bit.
+        if !crate::kernels::simd::simd_available() {
+            return;
+        }
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let c = ctx(kind);
+            let k = c.lat.reach();
+            let dims = Dim3::new(8, 7, 12);
+            let tables = StreamTables::new(dims.ny, dims.nz);
+            let bounds = BoundarySpec::periodic();
+            for g in [[0.0; 3], [3e-5, -1e-5, 2e-5]] {
+                // Even: the swapped image of the in-place collide.
+                let a0 = random_field(c.lat.q(), dims, 0, 61);
+                let mut collided = a0.clone();
+                crate::kernels::collide_scenario(
+                    OptLevel::Simd,
+                    &c,
+                    &mut collided,
+                    0,
+                    dims.nx,
+                    g,
+                    &bounds,
+                );
+                let mut aa = a0.clone();
+                crate::kernels::aa_even_scenario(
+                    OptLevel::Simd,
+                    &c,
+                    &mut aa,
+                    0,
+                    dims.nx,
+                    g,
+                    &bounds,
+                );
+                assert_eq!(
+                    unswap(&c, &aa).max_abs_diff_owned(&collided),
+                    0.0,
+                    "{kind:?} even g={g:?}"
+                );
+
+                // Odd: the pull-stream of the fused pass over N = unswap(B).
+                let b = random_field(c.lat.q(), dims, 2 * k, 67);
+                let n = unswap(&c, &b);
+                let nx = b.alloc_dims().nx;
+                let mut fused_out = DistField::new(c.lat.q(), dims, 2 * k).unwrap();
+                crate::kernels::stream_collide_scenario(
+                    &c,
+                    &tables,
+                    &n,
+                    &mut fused_out,
+                    k,
+                    nx - k,
+                    g,
+                    &bounds,
+                );
+                let mut expect = DistField::new(c.lat.q(), dims, 2 * k).unwrap();
+                dh::stream(&c, &tables, &fused_out, &mut expect, 2 * k, nx - 2 * k);
+                let mut aa = b.clone();
+                crate::kernels::aa_odd_scenario(
+                    OptLevel::Simd,
+                    &c,
+                    &tables,
+                    &mut aa,
+                    k,
+                    nx - k,
+                    g,
+                    &bounds,
+                );
+                assert_eq!(aa.max_abs_diff_owned(&expect), 0.0, "{kind:?} odd g={g:?}");
+            }
+        }
     }
 }

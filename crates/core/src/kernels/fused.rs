@@ -17,25 +17,32 @@
 //! their own arrivals, and the collide rewrites only *fluid* cells from
 //! their own arrivals — so one sweep can dispatch per row/cell:
 //!
-//! * fluid cells — gather (= the pull-stream), accumulate moments, relax
-//!   under the operator (plain or Guo-forced), store;
+//! * fluid cells — gather (= the pull-stream) into a tile, then collide
+//!   the tile into `dst` under the operator (plain or Guo-forced);
 //! * wall rows — gather, then store the wall transform of the gathered
 //!   arrivals (bounce-back / moving / Maxwell-diffuse — identical
 //!   arithmetic to [`crate::boundary::BoundarySpec::apply`]);
 //! * masked cells — the full-way bounce-back of their gathered arrivals.
 //!
 //! The result is bitwise identical to the split stream → boundary-apply →
-//! forced-collide pipeline while keeping the fused rung's `2·Q·8` traffic.
+//! forced-collide pipeline run with the same lanes, while keeping the fused
+//! rung's `2·Q·8` traffic.
 //!
-//! This module holds the scalar variant, [`crate::kernels::fused_simd`] the
-//! AVX2+FMA one, and [`crate::kernels::par`] the threaded drivers. The
-//! ablation benchmark (`cargo bench -p lbm-bench kernels`) quantifies what
-//! the paper predicted.
+//! The traversal is written once, generic over the lane type of
+//! `kernels::lanes`, and collides each gathered lane group with the
+//! one cell body of [`crate::kernels::op`]. This module's entry points run
+//! it with `Scalar` lanes; [`crate::kernels::fused_simd`] runs the same
+//! traversal with `Avx2<true>` lanes, and [`crate::kernels::par`] runs
+//! either per disjoint x-chunk. The ablation benchmark
+//! (`cargo bench -p lbm-bench kernels`) quantifies what the paper predicted.
+
+use std::marker::PhantomData;
 
 use crate::boundary::{BoundarySpec, WallKind};
 use crate::equilibrium::{feq_i, EqOrder};
 use crate::field::DistField;
-use crate::kernels::op::{CollideOp, OpConsts, PlainBgk};
+use crate::kernels::lanes::{self, LaneKernel, Lanes};
+use crate::kernels::op::{CellKernel, CollideOp, OpConsts, PlainBgk, Slots};
 use crate::kernels::{KernelCtx, StreamTables, MAX_Q};
 
 /// z-block for the fused gather (the whole Q×ZBF tile lives on the stack:
@@ -85,7 +92,11 @@ pub fn stream_collide_cells<O: CollideOp>(
     let dst_ptr = dst.as_mut_ptr();
     // SAFETY: `&mut dst` grants exclusive access to all `total` doubles, and
     // the bounds check above keeps every raw write inside them.
-    unsafe { stream_collide_cells_raw(ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds) }
+    unsafe {
+        stream_collide_cells_raw(
+            ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds, false,
+        )
+    }
 }
 
 /// Hard bounds/shape checks shared by the safe fused entry points: the raw
@@ -109,7 +120,7 @@ pub(crate) fn check_fused_bounds(
 }
 
 /// Raw-destination form of the boundary-aware fused step, shared with the
-/// rayon scenario driver and the SIMD fallback.
+/// rayon drivers; `simd` selects the AVX2+FMA lanes (when available).
 ///
 /// # Safety
 /// `dst_ptr` must point to `total` initialised doubles laid out exactly like
@@ -128,13 +139,39 @@ pub(crate) unsafe fn stream_collide_cells_raw<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
+    simd: bool,
 ) {
+    let oc = OpConsts::new(ctx, &op);
     // SAFETY: forwarded contract.
     unsafe {
         if ctx.third_order() {
-            fused_impl::<true, O>(ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds);
+            let k = Fused::<true, O> {
+                ctx,
+                tables,
+                src,
+                dst_ptr,
+                total,
+                x_lo,
+                x_hi,
+                oc: &oc,
+                bounds,
+                op: PhantomData,
+            };
+            lanes::dispatch::<_, true>(&k, simd);
         } else {
-            fused_impl::<false, O>(ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds);
+            let k = Fused::<false, O> {
+                ctx,
+                tables,
+                src,
+                dst_ptr,
+                total,
+                x_lo,
+                x_hi,
+                oc: &oc,
+                bounds,
+                op: PhantomData,
+            };
+            lanes::dispatch::<_, true>(&k, simd);
         }
     }
 }
@@ -216,8 +253,7 @@ pub(crate) unsafe fn store_wall_block(
 }
 
 /// Overwrite the masked solid cells of one fluid-row z-block with the
-/// full-way bounce-back of their gathered arrivals — shared by the scalar
-/// and AVX2 fused kernels so the mask convention cannot drift between them.
+/// full-way bounce-back of their gathered arrivals.
 ///
 /// # Safety
 /// `dst_ptr`/`total`/`slab_len` as in [`stream_collide_cells_raw`];
@@ -249,162 +285,144 @@ pub(crate) unsafe fn store_masked_cells(
     }
 }
 
-/// # Safety
-/// See [`stream_collide_cells_raw`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn fused_impl<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    src: &DistField,
+/// The fused traversal: per row and z-block, gather the pulled arrivals
+/// into a tile, then either store their wall transform (wall rows) or
+/// collide the tile into `dst` one lane group at a time.
+struct Fused<'a, const THIRD: bool, O> {
+    ctx: &'a KernelCtx,
+    tables: &'a StreamTables,
+    src: &'a DistField,
     dst_ptr: *mut f64,
     total: usize,
     x_lo: usize,
     x_hi: usize,
-    op: O,
-    bounds: &BoundarySpec,
-) {
-    let d = src.alloc_dims();
-    debug_assert!(x_lo >= ctx.lat.reach());
-    debug_assert!(x_hi + ctx.lat.reach() <= d.nx);
-    let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let nz = d.nz;
-    let slab_len = src.slab_stride();
-    let vel = ctx.lat.velocities();
-    let mask = bounds.mask();
+    oc: &'a OpConsts,
+    bounds: &'a BoundarySpec,
+    op: PhantomData<O>,
+}
 
-    // The one shared per-invocation hoist: equilibrium-constant rows, the
-    // bounce-back permutation, the force terms, and the Guo source
-    // coefficients when forced — see `kernels::op`.
-    let oc = OpConsts::new(ctx, &op);
-    let g = oc.g;
-    let hg = oc.half_g;
+/// Lane group `j` of a fused z-block: velocity `i` reads the gathered
+/// tile line `fq[i][j..]` and stores to `dst[i·slab_len + j..]`.
+struct TileGroup {
+    fq: *const f64,
+    dst: *mut f64,
+    slab_len: usize,
+}
 
-    // Gather tile: pulled populations for one z-block, all velocities.
-    let mut fq = [[0.0f64; ZBF]; MAX_Q];
-    let mut rho = [0.0f64; ZBF];
-    let mut mx = [0.0f64; ZBF];
-    let mut my = [0.0f64; ZBF];
-    let mut mz = [0.0f64; ZBF];
-    let mut ux = [0.0f64; ZBF];
-    let mut uy = [0.0f64; ZBF];
-    let mut uz = [0.0f64; ZBF];
-    let mut u2 = [0.0f64; ZBF];
-    let mut ug = [0.0f64; ZBF];
+impl<L: Lanes> Slots<L> for TileGroup {
+    #[inline(always)]
+    unsafe fn load(&self, i: usize) -> L {
+        // SAFETY: the tile holds MAX_Q lines of ZBF doubles; j + N ≤ blk.
+        unsafe { L::load(self.fq.add(i * ZBF)) }
+    }
+    #[inline(always)]
+    unsafe fn store(&self, i: usize, v: L) {
+        // SAFETY: inside the caller's exclusive destination row.
+        unsafe { v.store(self.dst.add(i * self.slab_len)) }
+    }
+}
 
-    let src_data = src.as_slice();
+impl<const THIRD: bool, O: CollideOp> LaneKernel for Fused<'_, THIRD, O> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(&self) {
+        let (ctx, oc, dst_ptr, total) = (self.ctx, self.oc, self.dst_ptr, self.total);
+        let d = self.src.alloc_dims();
+        debug_assert!(self.x_lo >= ctx.lat.reach());
+        debug_assert!(self.x_hi + ctx.lat.reach() <= d.nx);
+        let q = ctx.lat.q();
+        let nz = d.nz;
+        let slab_len = self.src.slab_stride();
+        let vel = ctx.lat.velocities();
+        let mask = self.bounds.mask();
+        let kc = CellKernel::<L, THIRD, O>::new(ctx, oc);
+        let src_data = self.src.as_slice();
+        let mut fq = [[0.0f64; ZBF]; MAX_Q];
 
-    for x in x_lo..x_hi {
-        for y in 0..d.ny {
-            let wall = bounds.wall_row_kind(d.ny, y);
-            let dbase = d.idx(x, y, 0);
-            let mut z0 = 0;
-            while z0 < nz {
-                let blk = (nz - z0).min(ZBF);
-                rho[..blk].fill(0.0);
-                mx[..blk].fill(0.0);
-                my[..blk].fill(0.0);
-                mz[..blk].fill(0.0);
-                // Pull + accumulate: for each velocity, gather the shifted
-                // z-segment as at most two contiguous copies (the rotate-copy
-                // of the optimized stream, not per-element wrap lookups) and
-                // fold it into the moments (wall rows only gather — their
-                // arrivals are transformed, not collided).
-                for i in 0..q {
-                    let c = vel[i];
-                    let xs = (x as isize - c[0] as isize) as usize;
-                    let ys = tables.y_for(c[1]).src(y);
-                    let srow = &src_data[i * slab_len + d.idx(xs, ys, 0)..][..nz];
-                    let line = &mut fq[i];
-                    // Source start for dst index z0: (z0 − cz) mod nz.
-                    let start = (z0 as isize - c[2] as isize).rem_euclid(nz as isize) as usize;
-                    if start + blk <= nz {
-                        line[..blk].copy_from_slice(&srow[start..start + blk]);
-                    } else {
-                        let first = nz - start;
-                        line[..first].copy_from_slice(&srow[start..]);
-                        line[first..blk].copy_from_slice(&srow[..blk - first]);
-                    }
-                    if wall.is_none() {
-                        let cf = oc.cw[i];
-                        for j in 0..blk {
-                            let fv = line[j];
-                            rho[j] += fv;
-                            mx[j] += fv * cf[0];
-                            my[j] += fv * cf[1];
-                            mz[j] += fv * cf[2];
+        // Balanced z-blocks (sizes differ by ≤ 1) instead of a short tail
+        // block: with the row prefetch below hiding the gather latency, the
+        // full-ZBF tile wins even for the high-Q lattices, and balanced
+        // blocks keep the per-row copy overhead even across blocks.
+        let nblocks = nz.div_ceil(ZBF);
+
+        for x in self.x_lo..self.x_hi {
+            for y in 0..d.ny {
+                let wall = self.bounds.wall_row_kind(d.ny, y);
+                let dbase = d.idx(x, y, 0);
+                for b in 0..nblocks {
+                    let z0 = b * nz / nblocks;
+                    let blk = (b + 1) * nz / nblocks - z0;
+                    // Pull: rotate-copy each velocity's shifted z-segment
+                    // into the tile (at most two contiguous memcpys per row,
+                    // not per-element wrap lookups).
+                    for i in 0..q {
+                        let c = vel[i];
+                        let xs = (x as isize - c[0] as isize) as usize;
+                        let ys = self.tables.y_for(c[1]).src(y);
+                        let row_off = i * slab_len + d.idx(xs, ys, 0);
+                        let srow = &src_data[row_off..][..nz];
+                        if b == 0 {
+                            // Software-prefetch this velocity's *next* y-row:
+                            // the gather cycles Q short interleaved streams,
+                            // which defeats the hardware streamer exactly for
+                            // the high-Q lattices; one row of lookahead per
+                            // stream hides the L3 latency. (Clamped in-bounds;
+                            // the wrap rows it occasionally misses are noise.)
+                            // Then this velocity's destination row, so the
+                            // store's read-for-ownership overlaps the gather.
+                            let end = (row_off + 2 * nz).min(src_data.len());
+                            lanes::prefetch_span(src_data.as_ptr(), row_off + nz, end);
+                            let own = i * slab_len + dbase;
+                            lanes::prefetch_span(dst_ptr, own, (own + nz).min(total));
+                        }
+                        let line = &mut fq[i];
+                        // Source start for dst index z0: (z0 − cz) mod nz.
+                        let start = (z0 as isize - c[2] as isize).rem_euclid(nz as isize) as usize;
+                        if start + blk <= nz {
+                            line[..blk].copy_from_slice(&srow[start..start + blk]);
+                        } else {
+                            let first = nz - start;
+                            line[..first].copy_from_slice(&srow[start..]);
+                            line[first..blk].copy_from_slice(&srow[..blk - first]);
                         }
                     }
-                }
-                if let Some(kind) = wall {
-                    // Solid wall row: the arrivals are transformed, not
-                    // collided — the in-pass form of the split pipeline's
-                    // boundary-apply step.
-                    // SAFETY: dbase+z0+blk is inside every slab (same
-                    // bound as the stores below), within this caller's
-                    // exclusive x-planes.
-                    unsafe {
-                        store_wall_block(
-                            ctx, kind, &fq, &oc.opp, q, dst_ptr, total, slab_len, dbase, z0, blk,
-                        )
+                    if let Some(kind) = wall {
+                        // Solid wall row: the in-pass form of the split
+                        // pipeline's boundary-apply step.
+                        // SAFETY: dbase+z0+blk is inside every slab, within
+                        // this caller's exclusive x-planes.
+                        unsafe {
+                            store_wall_block(
+                                ctx, kind, &fq, &oc.opp, q, dst_ptr, total, slab_len, dbase, z0,
+                                blk,
+                            )
+                        };
+                        continue;
+                    }
+                    // Collide the tile into `dst` — the only write traffic
+                    // of the step: whole lane groups, then the `Scalar` tail.
+                    debug_assert!((q - 1) * slab_len + dbase + z0 + blk <= total);
+                    let tile = fq.as_ptr().cast::<f64>();
+                    let at = |j: usize| TileGroup {
+                        fq: tile.wrapping_add(j),
+                        dst: dst_ptr.wrapping_add(dbase + z0 + j),
+                        slab_len,
                     };
-                    z0 += blk;
-                    continue;
-                }
-                for j in 0..blk {
-                    let inv = 1.0 / rho[j];
-                    if O::FORCED {
-                        ux[j] = (mx[j] + hg[0]) * inv;
-                        uy[j] = (my[j] + hg[1]) * inv;
-                        uz[j] = (mz[j] + hg[2]) * inv;
-                        ug[j] = ux[j] * g[0] + uy[j] * g[1] + uz[j] * g[2];
-                    } else {
-                        ux[j] = mx[j] * inv;
-                        uy[j] = my[j] * inv;
-                        uz[j] = mz[j] * inv;
-                    }
-                    u2[j] = ux[j] * ux[j] + uy[j] * uy[j] + uz[j] * uz[j];
-                }
-                // Relax and store — the only write traffic of the step.
-                for i in 0..q {
-                    let cf = oc.cw[i];
-                    let line = &fq[i];
-                    let off = i * slab_len + dbase + z0;
-                    debug_assert!(off + blk <= total);
-                    // SAFETY: off+blk ≤ total per the layout contract, and
-                    // x ∈ [x_lo, x_hi) keeps writes inside this caller's
-                    // exclusive plane range.
-                    let out = unsafe { std::slice::from_raw_parts_mut(dst_ptr.add(off), blk) };
-                    for (j, o) in out.iter_mut().enumerate() {
-                        let xi = cf[0] * ux[j] + cf[1] * uy[j] + cf[2] * uz[j];
-                        let mut poly =
-                            1.0 + xi * k.inv_cs2 + xi * xi * k.inv_2cs4 - u2[j] * k.inv_2cs2;
-                        if THIRD {
-                            poly += xi * (xi * xi - 3.0 * k.cs2 * u2[j]) * k.inv_6cs6;
-                        }
-                        let feq = cf[3] * rho[j] * poly;
-                        let fv = line[j];
-                        let mut next = fv + omega * (feq - fv);
-                        if O::FORCED {
-                            next += oc.sa[i] - oc.sb[i] * ug[j] + oc.sc[i] * xi;
-                        }
-                        *o = next;
+                    // SAFETY: every group stays inside the tile and inside
+                    // this caller's exclusive destination rows.
+                    unsafe { kc.collide_span::<false, _>(0, blk, at) };
+                    // Masked solid cells inside a fluid row: overwrite the
+                    // collided garbage with the full-way bounce-back of their
+                    // gathered arrivals (sparse — cavity side walls and
+                    // carved geometry).
+                    if let Some(m) = mask {
+                        // SAFETY: as for the stores above.
+                        unsafe {
+                            store_masked_cells(
+                                m, &fq, &oc.opp, q, dst_ptr, total, slab_len, y, dbase, z0, blk,
+                            )
+                        };
                     }
                 }
-                // Masked solid cells inside a fluid row: overwrite the
-                // collided garbage with the full-way bounce-back of their
-                // gathered arrivals (sparse — cavity side walls and carved
-                // geometry).
-                if let Some(m) = mask {
-                    // SAFETY: as for the stores above.
-                    unsafe {
-                        store_masked_cells(
-                            m, &fq, &oc.opp, q, dst_ptr, total, slab_len, y, dbase, z0, blk,
-                        )
-                    };
-                }
-                z0 += blk;
             }
         }
     }

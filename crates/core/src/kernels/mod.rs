@@ -13,8 +13,8 @@
 //! | `LoBr`  | loop/branch restr. (V-D)| [`lobr`] — region-split loops, hoisted index arithmetic | blocking, end of step |
 //! | `NbC`   | nonblocking comm (V-E) | [`lobr`]                            | nonblocking             |
 //! | `GcC`   | ghost-collide (V-F)    | [`lobr`]                            | overlapped (Fig. 7)     |
-//! | `Simd`  | SIMD (V-G)             | [`simd`] — AVX2+FMA collide         | overlapped (Fig. 7)     |
-//! | `Fused` | §VII future work       | [`fused`]/[`fused_simd`] — single-pass stream+collide, AVX2+FMA | overlapped (Fig. 7) |
+//! | `Simd`  | SIMD (V-G)             | [`simd`] — the [`op`] collide on `Avx2<true>` lanes | overlapped (Fig. 7) |
+//! | `Fused` | §VII future work       | [`fused_simd`] — the [`fused`] single pass on `Avx2<true>` lanes | overlapped (Fig. 7) |
 //!
 //! The `Fused` rung goes past the paper's ladder: it implements the
 //! conclusion's "reduce the memory accesses per lattice update" direction by
@@ -28,14 +28,24 @@
 //! the semantic oracle (property-tested against [`reference`]); the optimized
 //! pairs must agree within floating-point reassociation tolerance.
 //!
+//! From the scenario collide up, each traversal is written **once**: one
+//! body, two lane types. [`op`] holds the per-cell arithmetic and the cell
+//! body every in-place traversal shares; each traversal (split collide in
+//! [`op`], fused pass in [`fused`], AA even/odd in [`aa`], sparse tile in
+//! [`sparse`]) is generic over the lane type of `lanes` — `Scalar`, the
+//! reference recipe, or `Avx2<true>` (fused multiply-adds) at the `Simd`
+//! and `Fused` rungs, with a `Scalar` tail. `lanes` is the only code here
+//! that touches `std::arch`, and holds the one AVX2+FMA entry point and the
+//! one runtime check ([`simd::simd_available`]).
+//!
 //! Orthogonal to the ladder, the **storage dimension**
 //! ([`crate::field::StorageMode`]) selects how the populations are
 //! resident: the two-grid double buffer every rung above runs on, or the
 //! AA-pattern single array of [`aa`] (in-place even/odd steps, half the
 //! resident memory, `2·Q·8` model traffic). The AA dispatchers below
 //! ([`aa_even_scenario`], [`aa_odd_scenario`] and their `_par` forms) map
-//! the rung's kernel class onto the AA drivers: scalar classes run the
-//! shared scalar tile body, `Simd`/`Fused` the AVX2+FMA tile.
+//! the rung's kernel class onto the AA drivers: scalar classes run them on
+//! `Scalar` lanes, `Simd`/`Fused` on `Avx2<true>` lanes.
 
 pub mod aa;
 pub mod cf;
@@ -44,6 +54,7 @@ pub mod forced;
 pub mod fused;
 pub mod fused_simd;
 pub mod ghost;
+pub(crate) mod lanes;
 pub mod lobr;
 pub mod naive;
 pub mod op;
@@ -306,8 +317,8 @@ pub fn stream_collide(
 /// forcing `g` over the fluid cells of `bounds` (wall rows and masked
 /// cells untouched), in place over planes `x ∈ [x_lo, x_hi)`.
 ///
-/// The scalar classes run the shared [`op`] cell-operator body; the
-/// `Simd`/`Fused` classes run the AVX2+FMA variant (runtime-detected,
+/// Every class runs the one in-place collide of [`op`]: on scalar lanes
+/// below `Simd`, on AVX2+FMA lanes at `Simd`/`Fused` (runtime-detected,
 /// scalar fallback). With `g = 0` every class monomorphizes to the plain
 /// fluid-row-restricted BGK update.
 pub fn collide_scenario(
@@ -385,10 +396,8 @@ pub fn stream_collide_scenario_par(
     ));
 }
 
-/// Whether `level`'s kernel class runs the vectorized AA arithmetic (the
-/// same class split as the two-grid ladder: AVX2+FMA at `Simd` and above).
-/// The vector classes also get the NT-store path — see
-/// [`aa::AaTune::for_class`].
+/// Whether `level`'s kernel class runs the AA drivers with AVX2+FMA lanes
+/// (the same class split as the two-grid ladder: `Simd` and above).
 const fn aa_use_simd(level: OptLevel) -> bool {
     matches!(level.kernel_class(), KernelClass::Simd | KernelClass::Fused)
 }
@@ -413,7 +422,7 @@ pub fn aa_even_scenario(
         x_hi,
         rule,
         bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
+        aa_use_simd(level)
     ));
 }
 
@@ -435,7 +444,7 @@ pub fn aa_even_scenario_par(
         x_hi,
         rule,
         bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
+        aa_use_simd(level)
     ));
 }
 
@@ -462,7 +471,7 @@ pub fn aa_odd_scenario(
         x_hi,
         rule,
         bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
+        aa_use_simd(level)
     ));
 }
 
@@ -489,7 +498,7 @@ pub fn aa_odd_scenario_periodic(
         x_hi,
         rule,
         bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
+        aa_use_simd(level)
     ));
 }
 
@@ -515,7 +524,7 @@ pub fn aa_odd_scenario_par(
         x_hi,
         rule,
         bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
+        aa_use_simd(level)
     ));
 }
 
@@ -540,7 +549,7 @@ pub fn aa_odd_scenario_periodic_par(
         x_hi,
         rule,
         bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
+        aa_use_simd(level)
     ));
 }
 

@@ -1,26 +1,35 @@
-//! Composable cell operators: the per-cell collide rule, factored out of the
-//! drivers.
+//! Composable cell operators and the one copy of the per-cell arithmetic.
 //!
-//! Every rung of the ladder runs the same *data movement* (in-place sweep,
-//! AVX2 lanes, fused single pass, rayon chunks) around one of two per-cell
-//! *rules*: plain BGK relaxation, or the Guo-forced variant (half-force
-//! velocity shift plus a post-relaxation source). A [`CollideOp`] names the
-//! rule; the drivers are generic over it and monomorphize, so the unforced
-//! instantiation compiles to exactly the code the dedicated plain kernels
-//! used to be — the `O::FORCED` branches fold away at compile time.
+//! Every rung of the ladder runs some *data movement* (in-place sweep, fused
+//! single pass, AA pair, sparse tile, rayon chunks) around one of two
+//! per-cell *rules*: plain BGK relaxation, or the Guo-forced variant
+//! (half-force velocity shift plus a post-relaxation source). A
+//! [`CollideOp`] names the rule; the drivers are generic over it and
+//! monomorphize, so the `O::FORCED` branches fold away at compile time.
 //!
-//! The module also owns the two pieces every driver used to duplicate by
-//! hand:
+//! ## One body, two lane types
 //!
-//! * [`OpConsts`] — the per-invocation stack hoist of the equilibrium
-//!   constants (`[cx, cy, cz, w]` per velocity, previously copy-pasted in
-//!   `fused.rs`/`fused_simd.rs`) plus the precomputed Guo source
-//!   coefficients, so there is exactly one equilibrium-constant path;
-//! * [`collide_cells_raw`] — the z-blocked, boundary-aware scalar collide
-//!   body shared by the serial scalar driver, the rayon chunks, and the
-//!   non-AVX2 fallback of the SIMD rung. Wall rows are skipped and masked
-//!   cells excluded via fluid z-runs, so walled/masked scenarios reuse the
-//!   identical line-blocked loop the periodic kernels run.
+//! The arithmetic is written once here, generic over the lane type of
+//! `kernels::lanes`, in one association order:
+//!
+//! * moment sums `ρ = Σf`, `m = Σ f c` (`m_a ← f·c_a + m_a`), then
+//!   `u = m/ρ` through one reciprocal (`(m + G/2)/ρ` when forced);
+//! * `u² = u_z² + (u_y² + u_x²)` and `u·G = u_z G_z + (u_y G_y + u_x G_x)`,
+//!   each term folded into the running sum by a multiply-add;
+//! * per velocity `ξ = c_z u_z + (c_y u_y + c_x u_x)`, the equilibrium
+//!   polynomial `((1 + ξ/c_s²) + ξ²/(2c_s⁴)) − u²/(2c_s²)`
+//!   [`+ ξ(ξ² − 3c_s² u²)/(6c_s⁶)`], `f^eq = (w ρ)·poly`, the BGK relax
+//!   `f + ω(f^eq − f)` and the Guo source below.
+//!
+//! With `Scalar` lanes every multiply-add is a separate multiply and add:
+//! the reference recipe, and what the scalar rungs, the sparse drivers and
+//! every vector tail compute. With `Avx2<true>` lanes each multiply-add is
+//! one fused instruction (`Simd`/`Fused` rungs, AVX2 AA steps).
+//!
+//! `collide_group` is the one cell body of every in-place traversal: the
+//! split collide below ([`collide_cells`]), both AA steps, the sparse tiles
+//! and the fused pass over its gathered tile. [`OpConsts`] is the
+//! per-invocation hoist of the per-velocity constants every driver shares.
 //!
 //! ## The Guo source, hoisted
 //!
@@ -29,12 +38,14 @@
 //! constants `sa_i = p_i (c_i·G)/c_s²`, `sb_i = p_i/c_s²`,
 //! `sc_i = p_i (c_i·G)/c_s⁴`, `p_i = (1 − ω/2) w_i`. Only `u·G` and `ξ_i`
 //! vary per cell — and `ξ_i` is already computed for the equilibrium — so
-//! the forced path costs two extra fmas per (cell, velocity) in both the
-//! scalar and AVX2 drivers.
+//! the forced path costs two extra multiply-adds per (cell, velocity).
+
+use std::marker::PhantomData;
 
 use crate::boundary::{BoundarySpec, SectionMask};
 use crate::field::DistField;
-use crate::kernels::dh::ZB;
+use crate::index::Dim3;
+use crate::kernels::lanes::{self, LaneKernel, Lanes, Scalar};
 use crate::kernels::{KernelCtx, MAX_Q};
 
 /// A per-cell collide rule, threaded through every kernel driver.
@@ -205,8 +216,9 @@ pub(crate) fn next_fluid_run(
 
 /// Serial boundary-aware collide over planes `x ∈ [x_lo, x_hi)`: the rule
 /// `op` applied to every fluid cell of `bounds` (wall rows and masked cells
-/// untouched). With periodic `bounds` and [`PlainBgk`] this is exactly the
-/// CF/LoBr line-blocked collide.
+/// untouched), with `Scalar` lanes — the reference recipe. With periodic
+/// `bounds` and [`PlainBgk`] this is bitwise the CF/LoBr line-blocked
+/// collide.
 pub fn collide_cells<O: CollideOp>(
     ctx: &KernelCtx,
     f: &mut DistField,
@@ -215,167 +227,391 @@ pub fn collide_cells<O: CollideOp>(
     op: O,
     bounds: &BoundarySpec,
 ) {
+    collide_field(ctx, f, x_lo, x_hi, op, bounds, false);
+}
+
+/// [`collide_cells`] with the lane type chosen by `simd` (AVX2+FMA when
+/// asked for and available).
+pub(crate) fn collide_field<O: CollideOp>(
+    ctx: &KernelCtx,
+    f: &mut DistField,
+    x_lo: usize,
+    x_hi: usize,
+    op: O,
+    bounds: &BoundarySpec,
+    simd: bool,
+) {
     if x_lo >= x_hi {
         return;
     }
     let d = f.alloc_dims();
-    debug_assert!(x_hi <= d.nx);
-    let total = f.as_slice().len();
+    assert!(
+        x_hi <= d.nx,
+        "collide x-range [{x_lo}, {x_hi}) exceeds nx {}",
+        d.nx
+    );
     let slab_len = f.slab_stride();
     let ptr = f.as_mut_ptr();
-    // SAFETY: exclusive &mut access to the whole field; offsets bounded by
-    // the layout contract checked in collide_cells_raw.
-    unsafe {
-        collide_cells_raw::<O>(
-            ptr,
-            total,
-            slab_len,
-            ctx,
-            &OpConsts::new(ctx, &op),
-            bounds,
-            d,
-            x_lo,
-            x_hi,
-        )
-    }
+    let oc = OpConsts::new(ctx, &op);
+    // SAFETY: exclusive &mut access to the whole field; the x-range is
+    // checked above.
+    unsafe { collide_cells_raw::<O>(ptr, slab_len, ctx, &oc, bounds, d, x_lo, x_hi, simd) }
 }
 
-/// The shared z-blocked scalar collide body, against a raw base pointer so
-/// the rayon drivers can run it per disjoint x-chunk.
+/// The boundary-aware in-place collide against a raw base pointer, so the
+/// rayon drivers can run it per disjoint x-chunk.
 ///
 /// # Safety
-/// `base_ptr` must point to `total = q·slab_len` initialised doubles laid
-/// out as consecutive velocity slabs of a field with allocated dims `d`; the
-/// caller must guarantee exclusive access to the x-planes `[x_lo, x_hi)`.
-#[allow(clippy::too_many_arguments)]
+/// `base_ptr` must point to `q·slab_len` initialised doubles laid out as
+/// consecutive velocity slabs of a field with allocated dims `d`, with
+/// `x_hi ≤ d.nx`; the caller must guarantee exclusive access to the
+/// x-planes `[x_lo, x_hi)`.
 pub(crate) unsafe fn collide_cells_raw<O: CollideOp>(
     base_ptr: *mut f64,
-    total: usize,
     slab_len: usize,
     ctx: &KernelCtx,
     oc: &OpConsts,
     bounds: &BoundarySpec,
-    d: crate::index::Dim3,
+    d: Dim3,
     x_lo: usize,
     x_hi: usize,
+    simd: bool,
 ) {
+    let s = Sweep {
+        base_ptr,
+        slab_len,
+        ctx,
+        oc,
+        bounds,
+        d,
+        x_lo,
+        x_hi,
+    };
     // SAFETY: forwarded contract.
     unsafe {
         if ctx.third_order() {
-            collide_cells_impl::<true, O>(
-                base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi,
-            );
+            lanes::dispatch::<_, true>(&Collide::<true, O>(s, PhantomData), simd);
         } else {
-            collide_cells_impl::<false, O>(
-                base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi,
-            );
+            lanes::dispatch::<_, true>(&Collide::<false, O>(s, PhantomData), simd);
         }
     }
 }
 
-/// # Safety
-/// See [`collide_cells_raw`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn collide_cells_impl<const THIRD: bool, O: CollideOp>(
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    bounds: &BoundarySpec,
-    d: crate::index::Dim3,
-    x_lo: usize,
-    x_hi: usize,
-) {
-    let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let fluid_y = bounds.fluid_y(d.ny);
-    let mask = bounds.mask();
-    let hg = oc.half_g;
-    let g = oc.g;
+/// An in-place sweep over the x-planes `[x_lo, x_hi)` of a field behind a
+/// raw base pointer (`q` velocity slabs of `slab_len` doubles, allocated
+/// dims `d`): everything a traversal needs besides its rule and lanes.
+#[derive(Clone, Copy)]
+pub(crate) struct Sweep<'a> {
+    pub(crate) base_ptr: *mut f64,
+    pub(crate) slab_len: usize,
+    pub(crate) ctx: &'a KernelCtx,
+    pub(crate) oc: &'a OpConsts,
+    pub(crate) bounds: &'a BoundarySpec,
+    pub(crate) d: Dim3,
+    pub(crate) x_lo: usize,
+    pub(crate) x_hi: usize,
+}
 
-    let mut rho = [0.0f64; ZB];
-    let mut mx = [0.0f64; ZB];
-    let mut my = [0.0f64; ZB];
-    let mut mz = [0.0f64; ZB];
-    let mut ux = [0.0f64; ZB];
-    let mut uy = [0.0f64; ZB];
-    let mut uz = [0.0f64; ZB];
-    let mut u2 = [0.0f64; ZB];
-    let mut ug = [0.0f64; ZB];
+impl Sweep<'_> {
+    /// Doubles in the field (`q · slab_len`).
+    pub(crate) fn total(&self) -> usize {
+        self.ctx.lat.q() * self.slab_len
+    }
+}
 
-    for x in x_lo..x_hi {
-        for y in fluid_y.clone() {
-            let base = d.idx(x, y, 0);
-            // Fluid z-runs of this row (one full run when there is no mask),
-            // each swept with the CF/LoBr z-blocking.
-            let mut zs = 0usize;
-            while let Some((run_lo, run_hi)) = next_fluid_run(mask, y, d.nz, &mut zs) {
-                let mut z0 = run_lo;
-                while z0 < run_hi {
-                    let blk = (run_hi - z0).min(ZB);
-                    rho[..blk].fill(0.0);
-                    mx[..blk].fill(0.0);
-                    my[..blk].fill(0.0);
-                    mz[..blk].fill(0.0);
-                    for i in 0..q {
-                        let c = oc.cw[i];
-                        let off = i * slab_len + base + z0;
-                        debug_assert!(off + blk <= total);
-                        // SAFETY: off+blk ≤ total per the layout contract.
-                        let p = unsafe { base_ptr.add(off) as *const f64 };
-                        for j in 0..blk {
-                            let fv = unsafe { *p.add(j) };
-                            rho[j] += fv;
-                            mx[j] += fv * c[0];
-                            my[j] += fv * c[1];
-                            mz[j] += fv * c[2];
-                        }
-                    }
-                    for j in 0..blk {
-                        let inv = 1.0 / rho[j];
-                        if O::FORCED {
-                            ux[j] = (mx[j] + hg[0]) * inv;
-                            uy[j] = (my[j] + hg[1]) * inv;
-                            uz[j] = (mz[j] + hg[2]) * inv;
-                            ug[j] = ux[j] * g[0] + uy[j] * g[1] + uz[j] * g[2];
-                        } else {
-                            ux[j] = mx[j] * inv;
-                            uy[j] = my[j] * inv;
-                            uz[j] = mz[j] * inv;
-                        }
-                        u2[j] = ux[j] * ux[j] + uy[j] * uy[j] + uz[j] * uz[j];
-                    }
-                    for i in 0..q {
-                        let c = oc.cw[i];
-                        let w = c[3];
-                        let off = i * slab_len + base + z0;
-                        debug_assert!(off + blk <= total);
-                        // SAFETY: as above; writes stay within this caller's
-                        // exclusive x range.
-                        let p = unsafe { base_ptr.add(off) };
-                        for j in 0..blk {
-                            let xi = c[0] * ux[j] + c[1] * uy[j] + c[2] * uz[j];
-                            let mut poly =
-                                1.0 + xi * k.inv_cs2 + xi * xi * k.inv_2cs4 - u2[j] * k.inv_2cs2;
-                            if THIRD {
-                                poly += xi * (xi * xi - 3.0 * k.cs2 * u2[j]) * k.inv_6cs6;
-                            }
-                            let feq = w * rho[j] * poly;
-                            unsafe {
-                                let fv = *p.add(j);
-                                let mut next = fv + omega * (feq - fv);
-                                if O::FORCED {
-                                    next += oc.sa[i] - oc.sb[i] * ug[j] + oc.sc[i] * xi;
-                                }
-                                *p.add(j) = next;
-                            }
-                        }
-                    }
-                    z0 += blk;
+/// The in-place collide traversal: every fluid z-run of every fluid row,
+/// one `collide_group` per lane group.
+struct Collide<'a, const THIRD: bool, O>(Sweep<'a>, PhantomData<O>);
+
+impl<const THIRD: bool, O: CollideOp> LaneKernel for Collide<'_, THIRD, O> {
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(&self) {
+        let s = self.0;
+        let d = s.d;
+        let kc = CellKernel::<L, THIRD, O>::new(s.ctx, s.oc);
+        let mask = s.bounds.mask();
+        for x in s.x_lo..s.x_hi {
+            for y in s.bounds.fluid_y(d.ny) {
+                // SAFETY: the row start is inside every slab (x < nx).
+                let row = unsafe { s.base_ptr.add(d.idx(x, y, 0)) };
+                let mut zs = 0usize;
+                while let Some((lo, hi)) = next_fluid_run(mask, y, d.nz, &mut zs) {
+                    // SAFETY: [lo, hi) ⊆ [0, nz) of a row this caller owns.
+                    unsafe { kc.collide_row::<false>(row, s.slab_len, lo, hi) };
                 }
             }
+        }
+    }
+}
+
+/// The per-invocation constants of the cell arithmetic, broadcast to `L`,
+/// plus the [`Scalar`] copy that finishes each run's tail.
+pub(crate) struct CellKernel<'a, L, const THIRD: bool, O> {
+    /// The hoisted per-velocity constants.
+    pub(crate) oc: &'a OpConsts,
+    /// Velocity count.
+    pub(crate) q: usize,
+    /// The constants in lane type `L`.
+    pub(crate) k: Coeffs<L>,
+    /// The constants in [`Scalar`] lanes, for tails.
+    pub(crate) tail: Coeffs<Scalar>,
+    op: PhantomData<O>,
+}
+
+/// The scalar constants of the per-cell arithmetic in one lane type.
+pub(crate) struct Coeffs<L> {
+    one: L,
+    omega: L,
+    inv_cs2: L,
+    inv_2cs4: L,
+    inv_2cs2: L,
+    inv_6cs6: L,
+    three_cs2: L,
+    half_g: [L; 3],
+    g: [L; 3],
+}
+
+impl<L: Lanes> Coeffs<L> {
+    #[inline(always)]
+    fn new(ctx: &KernelCtx, oc: &OpConsts) -> Self {
+        let k = &ctx.consts;
+        Self {
+            one: L::splat(1.0),
+            omega: L::splat(ctx.omega),
+            inv_cs2: L::splat(k.inv_cs2),
+            inv_2cs4: L::splat(k.inv_2cs4),
+            inv_2cs2: L::splat(k.inv_2cs2),
+            inv_6cs6: L::splat(k.inv_6cs6),
+            three_cs2: L::splat(3.0 * k.cs2),
+            half_g: oc.half_g.map(L::splat),
+            g: oc.g.map(L::splat),
+        }
+    }
+
+    /// ρ, u, u² and u·G of one lane group from its moment sums
+    /// `[Σf, Σf·cx, Σf·cy, Σf·cz]` (Guo half-force shift when forced).
+    #[inline(always)]
+    fn macroscopic<O: CollideOp>(&self, s: [L; 4]) -> Macro<L> {
+        let inv = self.one.div(s[0]);
+        let (ux, uy, uz, ug);
+        if O::FORCED {
+            ux = s[1].add(self.half_g[0]).mul(inv);
+            uy = s[2].add(self.half_g[1]).mul(inv);
+            uz = s[3].add(self.half_g[2]).mul(inv);
+            ug = uz.mul_add(self.g[2], uy.mul_add(self.g[1], ux.mul(self.g[0])));
+        } else {
+            ux = s[1].mul(inv);
+            uy = s[2].mul(inv);
+            uz = s[3].mul(inv);
+            ug = L::splat(0.0);
+        }
+        let u2 = uz.mul_add(uz, uy.mul_add(uy, ux.mul(ux)));
+        Macro {
+            rho: s[0],
+            ux,
+            uy,
+            uz,
+            u2,
+            ug,
+        }
+    }
+
+    /// Post-collision `t_i` of arrival `fv` of velocity `i` under `m`: BGK
+    /// relaxation toward the 2nd/3rd-order equilibrium, plus the Guo source
+    /// when forced.
+    #[inline(always)]
+    fn relax<const THIRD: bool, O: CollideOp>(
+        &self,
+        oc: &OpConsts,
+        i: usize,
+        m: &Macro<L>,
+        fv: L,
+    ) -> L {
+        let c = oc.cw[i].map(L::splat);
+        let xi = c[2].mul_add(m.uz, c[1].mul_add(m.uy, c[0].mul(m.ux)));
+        let mut poly = xi.mul_add(self.inv_cs2, self.one);
+        poly = xi.mul(xi).mul_add(self.inv_2cs4, poly);
+        poly = m.u2.neg_mul_add(self.inv_2cs2, poly);
+        if THIRD {
+            let t = self.three_cs2.neg_mul_add(m.u2, xi.mul(xi));
+            poly = xi.mul(t).mul_add(self.inv_6cs6, poly);
+        }
+        let feq = c[3].mul(m.rho).mul(poly);
+        let out = self.omega.mul_add(feq.sub(fv), fv);
+        if O::FORCED {
+            // S_i = sa_i − sb_i (u·G) + sc_i ξ_i.
+            let s = L::splat(oc.sb[i]).neg_mul_add(m.ug, L::splat(oc.sa[i]));
+            out.add(L::splat(oc.sc[i]).mul_add(xi, s))
+        } else {
+            out
+        }
+    }
+}
+
+/// Add arrival `fv` of velocity row `c = [cx, cy, cz, w]` to the moment
+/// sums `[Σf, Σf·cx, Σf·cy, Σf·cz]`.
+#[inline(always)]
+fn accumulate<L: Lanes>(s: &mut [L; 4], fv: L, c: &[f64; 4]) {
+    s[0] = s[0].add(fv);
+    s[1] = fv.mul_add(L::splat(c[0]), s[1]);
+    s[2] = fv.mul_add(L::splat(c[1]), s[2]);
+    s[3] = fv.mul_add(L::splat(c[2]), s[3]);
+}
+
+/// The macroscopic state of one lane group.
+struct Macro<L> {
+    rho: L,
+    ux: L,
+    uy: L,
+    uz: L,
+    u2: L,
+    ug: L,
+}
+
+/// Where one lane group's populations live: `load(i)` reads the arrivals
+/// of velocity `i`, `store(i, v)` writes `v` back to that same location.
+pub(crate) trait Slots<L> {
+    /// # Safety
+    /// The implementor's addressing contract.
+    unsafe fn load(&self, i: usize) -> L;
+    /// # Safety
+    /// The implementor's addressing contract.
+    unsafe fn store(&self, i: usize, v: L);
+}
+
+/// Lane group `p[i·stride ..][..N]` of consecutive velocity slabs.
+pub(crate) struct Rows {
+    pub(crate) p: *mut f64,
+    pub(crate) stride: usize,
+}
+
+impl<L: Lanes> Slots<L> for Rows {
+    #[inline(always)]
+    unsafe fn load(&self, i: usize) -> L {
+        // SAFETY: forwarded to the constructor's contract.
+        unsafe { L::load(self.p.add(i * self.stride)) }
+    }
+    #[inline(always)]
+    unsafe fn store(&self, i: usize, v: L) {
+        // SAFETY: as for `load`.
+        unsafe { v.store(self.p.add(i * self.stride)) }
+    }
+}
+
+impl<'a, L: Lanes, const THIRD: bool, O: CollideOp> CellKernel<'a, L, THIRD, O> {
+    #[inline(always)]
+    pub(crate) fn new(ctx: &KernelCtx, oc: &'a OpConsts) -> Self {
+        Self {
+            oc,
+            q: ctx.lat.q(),
+            k: Coeffs::new(ctx, oc),
+            tail: Coeffs::new(ctx, oc),
+            op: PhantomData,
+        }
+    }
+
+    /// Collide the cells `[lo, hi)` of a span: whole `L` groups, then a
+    /// [`Scalar`] tail; `at(z)` addresses the group starting at cell `z`.
+    ///
+    /// # Safety
+    /// The slots `at(z)` addresses for `z ∈ [lo, hi)` must be valid and
+    /// owned by the caller.
+    #[inline(always)]
+    pub(crate) unsafe fn collide_span<const SWAP: bool, S>(
+        &self,
+        lo: usize,
+        hi: usize,
+        at: impl Fn(usize) -> S,
+    ) where
+        S: Slots<L> + Slots<Scalar>,
+    {
+        let mid = lo + (hi - lo) / L::N * L::N;
+        let mut z = lo;
+        // SAFETY: every group stays inside [lo, hi).
+        unsafe {
+            while z < mid {
+                collide_group::<L, THIRD, SWAP, O, _>(&self.k, self.oc, self.q, &at(z));
+                z += L::N;
+            }
+            while z < hi {
+                collide_group::<Scalar, THIRD, SWAP, O, _>(&self.tail, self.oc, self.q, &at(z));
+                z += 1;
+            }
+        }
+    }
+
+    /// [`Self::collide_span`] over the cells `[lo, hi)` of one field row
+    /// (`row` points at z = 0 of slab 0).
+    ///
+    /// # Safety
+    /// `row[i·slab_len + z]` must be valid for all `i < q`, `z < hi`, and
+    /// owned by the caller.
+    #[inline(always)]
+    pub(crate) unsafe fn collide_row<const SWAP: bool>(
+        &self,
+        row: *mut f64,
+        slab_len: usize,
+        lo: usize,
+        hi: usize,
+    ) {
+        let at = |z| Rows {
+            p: row.wrapping_add(z),
+            stride: slab_len,
+        };
+        // SAFETY: forwarded contract.
+        unsafe { self.collide_span::<SWAP, _>(lo, hi, at) }
+    }
+}
+
+/// Collide one lane group — the one cell body of every traversal (split
+/// collide, fused tile, AA even and odd, sparse tiles): moment sums in
+/// registers over all `q` arrivals, then the relax of every velocity, `t_i`
+/// stored back to its own slot. With `SWAP` (the AA cross-store) `t_i` goes
+/// where `a_opp(i)` was read instead, so the relax runs in velocity pairs
+/// `(i, opp(i))`, both loads before both stores.
+///
+/// # Safety
+/// `s`'s addressing contract for every `i < q`; the slots are owned by the
+/// caller.
+#[inline(always)]
+pub(crate) unsafe fn collide_group<L, const THIRD: bool, const SWAP: bool, O, S>(
+    k: &Coeffs<L>,
+    oc: &OpConsts,
+    q: usize,
+    s: &S,
+) where
+    L: Lanes,
+    O: CollideOp,
+    S: Slots<L>,
+{
+    // SAFETY: forwarded contract.
+    unsafe {
+        let mut sums = [L::splat(0.0); 4];
+        for i in 0..q {
+            accumulate(&mut sums, s.load(i), &oc.cw[i]);
+        }
+        let m = k.macroscopic::<O>(sums);
+        if !SWAP {
+            for i in 0..q {
+                s.store(i, k.relax::<THIRD, O>(oc, i, &m, s.load(i)));
+            }
+            return;
+        }
+        for i in 0..q {
+            let o = oc.opp[i];
+            if o < i {
+                continue; // pair already done
+            }
+            let fi = s.load(i);
+            if o == i {
+                s.store(i, k.relax::<THIRD, O>(oc, i, &m, fi));
+                continue;
+            }
+            let fo = s.load(o);
+            let ti = k.relax::<THIRD, O>(oc, i, &m, fi);
+            let to = k.relax::<THIRD, O>(oc, o, &m, fo);
+            s.store(o, ti);
+            s.store(i, to);
         }
     }
 }

@@ -4,8 +4,8 @@
 //! * **stream**: one task per velocity. Each task reads slab *i* of the
 //!   source and owns slab *i* of the destination exclusively
 //!   ([`DistField::slabs_mut`] hands out disjoint `&mut [f64]`) — fully safe.
-//! * **collide**: one task per x-plane chunk, running the same line-blocked
-//!   single-pass update as the serial CF/LoBr collide. Collide is purely
+//! * **collide**: one task per x-plane chunk, running the same single-pass
+//!   update as the serial scenario collide. Collide is purely
 //!   cell-local, so tasks partitioning the x-range write disjoint offsets of
 //!   every velocity slab; that disjointness is the safety argument for the
 //!   one raw-pointer wrapper below (the memory-traffic-doubling alternative
@@ -26,7 +26,7 @@ use rayon::prelude::*;
 use crate::boundary::BoundarySpec;
 use crate::field::DistField;
 use crate::kernels::op::{self, CollideOp, OpConsts, PlainBgk};
-use crate::kernels::{aa, dh, fused_simd, simd, KernelCtx, StreamTables};
+use crate::kernels::{aa, dh, fused, KernelCtx, StreamTables};
 
 /// Parallel pull-stream over `x ∈ [x_lo, x_hi)` (one velocity per task),
 /// using the DH rotate-copy row routine.
@@ -80,8 +80,8 @@ fn chunk_count(planes: usize) -> usize {
 /// Parallel single-pass BGK collide over `x ∈ [x_lo, x_hi)`.
 ///
 /// Bit-identical to the serial CF collide (same accumulation order, same
-/// reciprocal form, same z-blocking) — the [`PlainBgk`] instantiation of the
-/// shared boundary-aware driver.
+/// reciprocal form) — the [`PlainBgk`] instantiation of the shared
+/// boundary-aware driver.
 pub fn collide_par(ctx: &KernelCtx, f: &mut DistField, x_lo: usize, x_hi: usize) {
     collide_cells_par(
         ctx,
@@ -96,9 +96,9 @@ pub fn collide_par(ctx: &KernelCtx, f: &mut DistField, x_lo: usize, x_hi: usize)
 
 /// Rayon-parallel boundary-aware collide: disjoint x-plane chunks each
 /// running the rule `op` over the fluid cells of `bounds`, bit-identical to
-/// the matching serial driver. With `use_simd` the chunks run the AVX2+FMA
-/// kernel of [`crate::kernels::simd`] (scalar fallback when unavailable);
-/// otherwise the shared scalar body of [`crate::kernels::op`].
+/// the matching serial driver: the in-place collide of
+/// [`crate::kernels::op`], on AVX2+FMA lanes with `use_simd` (when
+/// available) and on scalar lanes otherwise.
 pub fn collide_cells_par<O: CollideOp>(
     ctx: &KernelCtx,
     f: &mut DistField,
@@ -114,7 +114,6 @@ pub fn collide_cells_par<O: CollideOp>(
         return;
     }
     let slab_len = f.slab_stride();
-    let total = f.as_slice().len();
     let base = SendPtr(f.as_mut_ptr());
     let oc = OpConsts::new(ctx, &op);
 
@@ -130,13 +129,7 @@ pub fn collide_cells_par<O: CollideOp>(
         // SAFETY: [lo, hi) ranges partition [x_lo, x_hi); each task writes
         // only offsets i·slab_len + idx(x,·,·) with x ∈ [lo, hi), which are
         // disjoint between tasks; `total`/`slab_len` bound all offsets.
-        unsafe {
-            if use_simd {
-                simd::collide_cells_raw::<O>(p.0, total, slab_len, ctx, &oc, bounds, d, lo, hi);
-            } else {
-                op::collide_cells_raw::<O>(p.0, total, slab_len, ctx, &oc, bounds, d, lo, hi);
-            }
-        }
+        unsafe { op::collide_cells_raw::<O>(p.0, slab_len, ctx, &oc, bounds, d, lo, hi, use_simd) }
     });
 }
 
@@ -151,7 +144,7 @@ pub fn collide_cells_par<O: CollideOp>(
 /// available), so threaded results are bit-identical to single-threaded
 /// fused runs.
 ///
-/// Halo contract as for [`fused_simd::stream_collide`]: `src` valid on
+/// Halo contract as for [`fused::stream_collide`]: `src` valid on
 /// `[x_lo − k, x_hi + k)`.
 pub fn stream_collide_par(
     ctx: &KernelCtx,
@@ -180,7 +173,20 @@ pub fn stream_collide_par(
         // check above confines to the allocation, so tasks write disjoint
         // in-bounds x-planes of `dst`; `src` is only read and never aliases
         // `dst` (distinct fields).
-        unsafe { fused_simd::stream_collide_raw(ctx, tables, src, p.0, total, lo, hi) }
+        unsafe {
+            fused::stream_collide_cells_raw(
+                ctx,
+                tables,
+                src,
+                p.0,
+                total,
+                lo,
+                hi,
+                PlainBgk,
+                &BoundarySpec::periodic(),
+                true,
+            )
+        }
     });
 }
 
@@ -189,7 +195,7 @@ pub fn stream_collide_par(
 /// bounced, fluid cells collided under `op`) per disjoint destination
 /// x-chunk. Bit-identical to the serial scenario fused kernel.
 ///
-/// Halo contract as for [`fused_simd::stream_collide`].
+/// Halo contract as for [`fused::stream_collide`].
 #[allow(clippy::too_many_arguments)]
 pub fn stream_collide_cells_par<O: CollideOp>(
     ctx: &KernelCtx,
@@ -219,7 +225,7 @@ pub fn stream_collide_cells_par<O: CollideOp>(
         // SAFETY: as in `stream_collide_par` — disjoint in-bounds dst
         // x-planes per task, `src` read-only and non-aliasing.
         unsafe {
-            fused_simd::stream_collide_cells_raw(ctx, tables, src, p.0, total, lo, hi, op, bounds)
+            fused::stream_collide_cells_raw(ctx, tables, src, p.0, total, lo, hi, op, bounds, true)
         }
     });
 }
@@ -234,7 +240,7 @@ pub fn aa_even_cells_par<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-    tune: aa::AaTune,
+    simd: bool,
 ) {
     let d = f.alloc_dims();
     assert!(
@@ -246,7 +252,6 @@ pub fn aa_even_cells_par<O: CollideOp>(
         return;
     }
     let slab_len = f.slab_stride();
-    let total = f.as_slice().len();
     let base = SendPtr(f.as_mut_ptr());
     let oc = OpConsts::new(ctx, &op);
     let planes = x_hi - x_lo;
@@ -260,7 +265,7 @@ pub fn aa_even_cells_par<O: CollideOp>(
         // SAFETY: [lo, hi) ranges partition [x_lo, x_hi); the even step
         // reads and writes only planes in its own range.
         unsafe {
-            aa::even_cells_raw::<O>(p.0, total, slab_len, ctx, &oc, bounds, d, lo, hi, tune);
+            aa::even_cells_raw::<O>(p.0, slab_len, ctx, &oc, bounds, d, lo, hi, simd);
         }
     });
 }
@@ -285,7 +290,7 @@ pub fn aa_odd_cells_par<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-    tune: aa::AaTune,
+    simd: bool,
 ) {
     if x_lo >= x_hi {
         return;
@@ -300,7 +305,7 @@ pub fn aa_odd_cells_par<O: CollideOp>(
         aa::XShift::Margin,
         op,
         bounds,
-        tune,
+        simd,
     );
 }
 
@@ -317,7 +322,7 @@ pub fn aa_odd_cells_periodic_par<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-    tune: aa::AaTune,
+    simd: bool,
 ) {
     if x_lo >= x_hi {
         return;
@@ -329,7 +334,7 @@ pub fn aa_odd_cells_periodic_par<O: CollideOp>(
         d.nx
     );
     let xw = aa::XShift::Wrap { lo: x_lo, hi: x_hi };
-    aa_odd_chunked(ctx, tables, f, x_lo, x_hi, xw, op, bounds, tune);
+    aa_odd_chunked(ctx, tables, f, x_lo, x_hi, xw, op, bounds, simd);
 }
 
 /// Shared chunked odd sweep behind the margin and periodic drivers (bounds
@@ -344,11 +349,10 @@ fn aa_odd_chunked<O: CollideOp>(
     xw: aa::XShift,
     op: O,
     bounds: &BoundarySpec,
-    tune: aa::AaTune,
+    simd: bool,
 ) {
     let d = f.alloc_dims();
     let slab_len = f.slab_stride();
-    let total = f.as_slice().len();
     let base = SendPtr(f.as_mut_ptr());
     let oc = OpConsts::new(ctx, &op);
     let planes = x_hi - x_lo;
@@ -364,9 +368,7 @@ fn aa_odd_chunked<O: CollideOp>(
         // (see the driver docs above); all offsets are bounded by the
         // caller's bounds check (margin or wrap).
         unsafe {
-            aa::odd_cells_raw::<O>(
-                p.0, total, slab_len, ctx, &oc, tables, bounds, d, lo, hi, xw, tune,
-            );
+            aa::odd_cells_raw::<O>(p.0, slab_len, ctx, &oc, tables, bounds, d, lo, hi, xw, simd);
         }
     });
 }
@@ -564,51 +566,15 @@ mod tests {
             let op = crate::kernels::op::GuoForced {
                 g: [2e-5, 0.0, 0.0],
             };
-            aa::even_cells(
-                &c,
-                &mut serial,
-                2 * k,
-                2 * k + dims.nx,
-                op,
-                &bounds,
-                aa::AaTune::SCALAR,
-            );
+            aa::even_cells(&c, &mut serial, 2 * k, 2 * k + dims.nx, op, &bounds, false);
             pool.install(|| {
-                aa_even_cells_par(
-                    &c,
-                    &mut par,
-                    2 * k,
-                    2 * k + dims.nx,
-                    op,
-                    &bounds,
-                    aa::AaTune::SCALAR,
-                )
+                aa_even_cells_par(&c, &mut par, 2 * k, 2 * k + dims.nx, op, &bounds, false)
             });
             assert_eq!(serial.max_abs_diff_owned(&par), 0.0, "{kind:?} even");
 
             let nx = serial.alloc_dims().nx;
-            aa::odd_cells(
-                &c,
-                &tables,
-                &mut serial,
-                k,
-                nx - k,
-                op,
-                &bounds,
-                aa::AaTune::SCALAR,
-            );
-            pool.install(|| {
-                aa_odd_cells_par(
-                    &c,
-                    &tables,
-                    &mut par,
-                    k,
-                    nx - k,
-                    op,
-                    &bounds,
-                    aa::AaTune::SCALAR,
-                )
-            });
+            aa::odd_cells(&c, &tables, &mut serial, k, nx - k, op, &bounds, false);
+            pool.install(|| aa_odd_cells_par(&c, &tables, &mut par, k, nx - k, op, &bounds, false));
             assert_eq!(serial.max_abs_diff_owned(&par), 0.0, "{kind:?} odd");
         }
     }

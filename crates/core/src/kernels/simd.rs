@@ -7,53 +7,34 @@
 //! equilibrium polynomial, and relaxation all in vector registers with fused
 //! multiply-adds (the same `fpmadd` idea the paper invokes).
 //!
-//! The kernel is generic over the cell operator
-//! ([`crate::kernels::op::CollideOp`]): the [`PlainBgk`] instantiation is
-//! the periodic ladder rung, while [`GuoForced`](crate::kernels::op)
-//! broadcasts the force vector into the vectorized moment accumulation
-//! (half-force velocity shift) and adds the hoisted Guo source —
-//! `sa_i − sb_i (u·G) + sc_i ξ_i` — in the relax pass, two extra fmas per
-//! (lane group, velocity). Row dispatch is [`BoundarySpec`]-aware: wall rows
-//! are skipped and masked cells excluded via fluid z-runs, each run swept
-//! vector-first with a scalar tail, so walled/forced scenarios run the same
-//! vectorized collide as the periodic flows.
-//!
-//! Feature detection happens at runtime; without AVX2+FMA the rung falls
-//! back to the shared scalar cell-operator body (so the crate stays
-//! portable, and the benchmark harness reports when the fallback was taken).
-//! Streaming is already a memcpy exercise after LoBr, so this rung reuses
-//! the CF/LoBr stream.
+//! There is no separate vector body. This rung runs the one in-place collide
+//! traversal of [`crate::kernels::op`] with the `Avx2<true>` lane type of
+//! `kernels::lanes` instead of `Scalar`: the same per-cell
+//! arithmetic in the same association order, each `a·b + c` fused. Each
+//! fluid z-run is swept four cells at a time, and the last `len % 4` cells
+//! run the `Scalar` instantiation. Without AVX2+FMA the rung runs `Scalar`
+//! throughout, so the crate stays portable (the benchmark harness reports
+//! when that fallback was taken). Streaming is already a memcpy exercise
+//! after LoBr, so this rung reuses the CF/LoBr stream.
 
 use crate::boundary::BoundarySpec;
 use crate::field::DistField;
-use crate::kernels::op::{self, CollideOp, OpConsts, PlainBgk};
-use crate::kernels::KernelCtx;
+use crate::kernels::op::{self, CollideOp, PlainBgk};
+use crate::kernels::{lanes, KernelCtx};
 
-/// True when the vectorized path is available on this CPU.
+/// True when the vectorized path is available on this CPU (AVX2 and FMA).
 pub fn simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static AVAIL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *AVAIL.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    lanes::simd_available()
 }
 
-/// Vectorized BGK collide over planes `x ∈ [x_lo, x_hi)`; falls back to the
-/// scalar cell-operator body when AVX2+FMA is unavailable.
+/// Vectorized BGK collide over planes `x ∈ [x_lo, x_hi)`.
 pub fn collide(ctx: &KernelCtx, f: &mut DistField, x_lo: usize, x_hi: usize) {
     collide_cells(ctx, f, x_lo, x_hi, PlainBgk, &BoundarySpec::periodic());
 }
 
 /// Vectorized boundary-aware collide: the rule `op` applied to every fluid
 /// cell of `bounds` over planes `x ∈ [x_lo, x_hi)` (wall rows and masked
-/// cells untouched), AVX2+FMA when available with scalar fallback.
+/// cells untouched).
 pub fn collide_cells<O: CollideOp>(
     ctx: &KernelCtx,
     f: &mut DistField,
@@ -62,253 +43,7 @@ pub fn collide_cells<O: CollideOp>(
     op: O,
     bounds: &BoundarySpec,
 ) {
-    if x_lo >= x_hi {
-        return;
-    }
-    let d = f.alloc_dims();
-    debug_assert!(x_hi <= d.nx);
-    let total = f.as_slice().len();
-    let slab_len = f.slab_stride();
-    let ptr = f.as_mut_ptr();
-    let oc = OpConsts::new(ctx, &op);
-    // SAFETY: exclusive &mut access to the whole field; offsets bounded by
-    // the layout contract.
-    unsafe { collide_cells_raw::<O>(ptr, total, slab_len, ctx, &oc, bounds, d, x_lo, x_hi) }
-}
-
-/// Raw-pointer dispatch shared with the rayon driver: AVX2+FMA when
-/// available, the shared scalar body otherwise.
-///
-/// # Safety
-/// Same contract as [`op::collide_cells_raw`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn collide_cells_raw<O: CollideOp>(
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    bounds: &BoundarySpec,
-    d: crate::index::Dim3,
-    x_lo: usize,
-    x_hi: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd_available() {
-            // SAFETY: feature presence checked above; contract forwarded.
-            unsafe {
-                if ctx.third_order() {
-                    collide_avx2::<true, O>(
-                        base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi,
-                    );
-                } else {
-                    collide_avx2::<false, O>(
-                        base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi,
-                    );
-                }
-            }
-            return;
-        }
-    }
-    // SAFETY: contract forwarded.
-    unsafe { op::collide_cells_raw::<O>(base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi) }
-}
-
-/// # Safety
-/// Caller must ensure AVX2+FMA are available and the layout/exclusivity
-/// contract of [`op::collide_cells_raw`] holds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn collide_avx2<const THIRD: bool, O: CollideOp>(
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    bounds: &BoundarySpec,
-    d: crate::index::Dim3,
-    x_lo: usize,
-    x_hi: usize,
-) {
-    use std::arch::x86_64::*;
-
-    const LANES: usize = 4;
-    let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let fluid_y = bounds.fluid_y(d.ny);
-    let mask = bounds.mask();
-    let hg = oc.half_g;
-    let g = oc.g;
-
-    // SAFETY: all pointer offsets below are i*slab_len + base + z with
-    // z + LANES ≤ nz, hence within `total`; debug-asserted per row.
-    unsafe {
-        let v_one = _mm256_set1_pd(1.0);
-        let v_omega = _mm256_set1_pd(omega);
-        let v_inv_cs2 = _mm256_set1_pd(k.inv_cs2);
-        let v_inv_2cs4 = _mm256_set1_pd(k.inv_2cs4);
-        let v_inv_2cs2 = _mm256_set1_pd(k.inv_2cs2);
-        let v_inv_6cs6 = _mm256_set1_pd(k.inv_6cs6);
-        let v_3cs2 = _mm256_set1_pd(3.0 * k.cs2);
-        let v_hg0 = _mm256_set1_pd(hg[0]);
-        let v_hg1 = _mm256_set1_pd(hg[1]);
-        let v_hg2 = _mm256_set1_pd(hg[2]);
-        let v_g0 = _mm256_set1_pd(g[0]);
-        let v_g1 = _mm256_set1_pd(g[1]);
-        let v_g2 = _mm256_set1_pd(g[2]);
-
-        for x in x_lo..x_hi {
-            for y in fluid_y.clone() {
-                let base = d.idx(x, y, 0);
-                debug_assert!(base + d.nz <= slab_len);
-                // Fluid z-runs of this row (one full run when there is no
-                // mask), each run swept vector-first with a scalar tail.
-                let mut zs = 0usize;
-                while let Some((run_lo, run_hi)) = op::next_fluid_run(mask, y, d.nz, &mut zs) {
-                    let run_len = run_hi - run_lo;
-                    let vec_end = run_lo + (run_len - run_len % LANES);
-                    let mut z = run_lo;
-                    while z < vec_end {
-                        let off = base + z;
-                        // Pass 1: moments.
-                        let mut vrho = _mm256_setzero_pd();
-                        let mut vmx = _mm256_setzero_pd();
-                        let mut vmy = _mm256_setzero_pd();
-                        let mut vmz = _mm256_setzero_pd();
-                        for i in 0..q {
-                            let c = oc.cw[i];
-                            debug_assert!(i * slab_len + off + LANES <= total);
-                            let fv = _mm256_loadu_pd(base_ptr.add(i * slab_len + off));
-                            vrho = _mm256_add_pd(vrho, fv);
-                            if c[0] != 0.0 {
-                                vmx = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[0]), vmx);
-                            }
-                            if c[1] != 0.0 {
-                                vmy = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[1]), vmy);
-                            }
-                            if c[2] != 0.0 {
-                                vmz = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[2]), vmz);
-                            }
-                        }
-                        let vinv = _mm256_div_pd(v_one, vrho);
-                        if O::FORCED {
-                            // Guo half-force shift of the momentum before the
-                            // velocity division: u = (m + G/2)/ρ.
-                            vmx = _mm256_add_pd(vmx, v_hg0);
-                            vmy = _mm256_add_pd(vmy, v_hg1);
-                            vmz = _mm256_add_pd(vmz, v_hg2);
-                        }
-                        let vux = _mm256_mul_pd(vmx, vinv);
-                        let vuy = _mm256_mul_pd(vmy, vinv);
-                        let vuz = _mm256_mul_pd(vmz, vinv);
-                        let vu2 = _mm256_fmadd_pd(
-                            vux,
-                            vux,
-                            _mm256_fmadd_pd(vuy, vuy, _mm256_mul_pd(vuz, vuz)),
-                        );
-                        let vug = if O::FORCED {
-                            _mm256_fmadd_pd(
-                                vux,
-                                v_g0,
-                                _mm256_fmadd_pd(vuy, v_g1, _mm256_mul_pd(vuz, v_g2)),
-                            )
-                        } else {
-                            _mm256_setzero_pd()
-                        };
-                        // Pass 2: equilibrium + relax (+ Guo source).
-                        for i in 0..q {
-                            let c = oc.cw[i];
-                            let mut vxi = _mm256_setzero_pd();
-                            if c[0] != 0.0 {
-                                vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[0]), vux, vxi);
-                            }
-                            if c[1] != 0.0 {
-                                vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[1]), vuy, vxi);
-                            }
-                            if c[2] != 0.0 {
-                                vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[2]), vuz, vxi);
-                            }
-                            // poly = 1 + xi/cs2 + xi²/(2cs⁴) − u²/(2cs²) [+ third]
-                            let mut vpoly = _mm256_fmadd_pd(vxi, v_inv_cs2, v_one);
-                            vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, vxi), v_inv_2cs4, vpoly);
-                            vpoly = _mm256_fnmadd_pd(vu2, v_inv_2cs2, vpoly);
-                            if THIRD {
-                                let t = _mm256_fnmadd_pd(v_3cs2, vu2, _mm256_mul_pd(vxi, vxi));
-                                vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, t), v_inv_6cs6, vpoly);
-                            }
-                            let vfeq =
-                                _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(c[3]), vrho), vpoly);
-                            let p = base_ptr.add(i * slab_len + off);
-                            let fv = _mm256_loadu_pd(p);
-                            let mut out = _mm256_fmadd_pd(v_omega, _mm256_sub_pd(vfeq, fv), fv);
-                            if O::FORCED {
-                                // S_i = sa_i − sb_i (u·G) + sc_i ξ_i.
-                                let vs = _mm256_fmadd_pd(
-                                    _mm256_set1_pd(oc.sc[i]),
-                                    vxi,
-                                    _mm256_fnmadd_pd(
-                                        _mm256_set1_pd(oc.sb[i]),
-                                        vug,
-                                        _mm256_set1_pd(oc.sa[i]),
-                                    ),
-                                );
-                                out = _mm256_add_pd(out, vs);
-                            }
-                            _mm256_storeu_pd(p, out);
-                        }
-                        z += LANES;
-                    }
-                    // Scalar tail (run_len % 4 cells), reciprocal form.
-                    while z < run_hi {
-                        let off = base + z;
-                        let mut rho = 0.0;
-                        let mut m = [0.0f64; 3];
-                        for i in 0..q {
-                            let c = oc.cw[i];
-                            let fv = *base_ptr.add(i * slab_len + off);
-                            rho += fv;
-                            m[0] += fv * c[0];
-                            m[1] += fv * c[1];
-                            m[2] += fv * c[2];
-                        }
-                        let inv = 1.0 / rho;
-                        let u = if O::FORCED {
-                            [
-                                (m[0] + hg[0]) * inv,
-                                (m[1] + hg[1]) * inv,
-                                (m[2] + hg[2]) * inv,
-                            ]
-                        } else {
-                            [m[0] * inv, m[1] * inv, m[2] * inv]
-                        };
-                        let u2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-                        let ug = u[0] * g[0] + u[1] * g[1] + u[2] * g[2];
-                        for i in 0..q {
-                            let c = oc.cw[i];
-                            let xi = c[0] * u[0] + c[1] * u[1] + c[2] * u[2];
-                            let mut poly =
-                                1.0 + xi * k.inv_cs2 + xi * xi * k.inv_2cs4 - u2 * k.inv_2cs2;
-                            if THIRD {
-                                poly += xi * (xi * xi - 3.0 * k.cs2 * u2) * k.inv_6cs6;
-                            }
-                            let feq = c[3] * rho * poly;
-                            let p = base_ptr.add(i * slab_len + off);
-                            let fv = *p;
-                            let mut next = fv + omega * (feq - fv);
-                            if O::FORCED {
-                                next += oc.sa[i] - oc.sb[i] * ug + oc.sc[i] * xi;
-                            }
-                            *p = next;
-                        }
-                        z += 1;
-                    }
-                }
-            }
-        }
-    }
+    op::collide_field(ctx, f, x_lo, x_hi, op, bounds, true);
 }
 
 #[cfg(test)]

@@ -17,11 +17,15 @@
 //! values — so on a shared geometry the sparse fluid trajectory is
 //! **bitwise equal** to the dense masked path.
 //!
-//! Three drivers share the per-tile body: scalar, AVX2 (4-wide z-lines of a
-//! tile; no FMA contractions, so it is bitwise equal to the scalar driver —
-//! unlike the dense `Simd` rung, which trades exactness for fused
-//! multiply-adds), and rayon (disjoint owned-tile chunks; bitwise equal to
-//! serial since tiles are independent given `src`).
+//! The per-tile body is written once over the lane type of
+//! `kernels::lanes`. `use_simd` runs it on 4-wide z-lines of a
+//! tile with `Avx2<false>` lanes — no fused multiply-adds, so every lane
+//! repeats the `Scalar` recipe and the two are bitwise equal (unlike the
+//! dense `Simd` rung, which trades exactness for fused multiply-adds). The
+//! rayon drivers run disjoint owned-tile chunks of the same body; they are
+//! bitwise equal to serial since tiles are independent given `src`.
+
+use std::marker::PhantomData;
 
 use rayon::prelude::*;
 
@@ -30,7 +34,8 @@ use crate::equilibrium::feq_i;
 use crate::error::{Error, Result};
 use crate::geometry::{tile_cell, SparseTiles, TILE_B, TILE_CELLS, TILE_NEIGHBORS};
 use crate::index::Dim3;
-use crate::kernels::op::{with_op, CollideOp, OpConsts};
+use crate::kernels::lanes::{self, LaneKernel, Lanes};
+use crate::kernels::op::{collide_group, with_op, CellKernel, CollideOp, OpConsts, Slots};
 use crate::kernels::par::{chunk_bounds, SendPtr};
 use crate::kernels::{KernelCtx, MAX_Q};
 use crate::lattice::Lattice;
@@ -226,18 +231,6 @@ impl GatherTable {
     }
 }
 
-/// Whether the AVX2 sparse collide is usable on this host.
-pub fn sparse_simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// One serial sparse step `dst ← collide(bounce(pull(src)))` over the owned
 /// tiles of `tiles`. `g` selects plain BGK (`[0; 3]`) or Guo forcing;
 /// `use_simd` opts into the AVX2 tile collide (bitwise equal, see module
@@ -292,11 +285,10 @@ fn step_with<O: CollideOp>(
     assert_eq!(dst.tile_count(), tiles.tile_count(), "dst tile mismatch");
     assert_eq!(gt.q, q, "gather table lattice mismatch");
     let oc = OpConsts::new(ctx, &op);
-    let simd = use_simd && sparse_simd_available();
     if ctx.third_order() {
-        step_impl::<true, O>(ctx, tiles, gt, src, dst, &oc, simd, parallel);
+        step_impl::<true, O>(ctx, tiles, gt, src, dst, &oc, use_simd, parallel);
     } else {
-        step_impl::<false, O>(ctx, tiles, gt, src, dst, &oc, simd, parallel);
+        step_impl::<false, O>(ctx, tiles, gt, src, dst, &oc, use_simd, parallel);
     }
 }
 
@@ -343,17 +335,13 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
             debug_assert!((t + 1) * frame <= total);
             // SAFETY: the fast/slow lists partition the owned tiles and
             // chunks partition each list; each task writes only its own
-            // tiles' frames, which are disjoint slices of dst.
-            let dstf = unsafe { std::slice::from_raw_parts_mut(base.0.add(t * frame), frame) };
-            let fluid = tiles.tiles[t].fluid;
-            #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd` implies AVX2 was detected at runtime.
-                unsafe { tile_cells_avx2::<THIRD, O>(ctx, oc, fluid, &buf, dstf) };
-                continue;
-            }
-            let _ = simd;
-            tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, &buf, dstf);
+            // tiles' frames, which are disjoint q·64-double frames of dst,
+            // distinct from the stack `buf`.
+            unsafe {
+                let dstf = base.0.add(t * frame);
+                let fluid = tiles.tiles[t].fluid;
+                tile_cells::<THIRD, false, O>(ctx, oc, fluid, buf.as_ptr(), dstf, simd)
+            };
         }
     };
 
@@ -405,24 +393,10 @@ fn drive_tile_lists(
 /// up to `TILE_NEIGHBORS` extra frames would evict more than it hides.
 #[inline]
 fn prefetch_next_tile(src: &[f64], tiles: &SparseTiles, t_next: usize, frame: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let nbr_ptr = std::ptr::from_ref(&tiles.neighbors[t_next]).cast::<i8>();
-        // SAFETY: PREFETCHT0 is a hint and cannot fault; the offsets below
-        // are clamped to the slice.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(nbr_ptr) };
-        let lo = t_next * frame;
-        let hi = (lo + frame).min(src.len());
-        let mut p = lo;
-        while p < hi {
-            // SAFETY: p < src.len() — in-bounds pointer, hint-only.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(src.as_ptr().add(p).cast::<i8>()) };
-            p += 8;
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (src, tiles, t_next, frame);
+    let nbr = std::ptr::from_ref(&tiles.neighbors[t_next]).cast::<f64>();
+    lanes::prefetch_span(nbr, 0, 1);
+    let lo = t_next * frame;
+    lanes::prefetch_span(src.as_ptr(), lo, (lo + frame).min(src.len()));
 }
 
 /// Pull-stream one tile through the neighbour table into `buf[i·64 + c]`;
@@ -489,215 +463,113 @@ pub fn streamed_tile(
     gather_tile(q, gt, &tiles.neighbors[t], f.as_slice(), buf);
 }
 
-/// Scalar tile body: per-cell BGK/Guo collide on fluid cells (the exact
-/// arithmetic of the dense `op::collide_cells` driver), full-way bounce-back
-/// on solid cells.
-fn tile_cells_scalar<const THIRD: bool, O: CollideOp>(
+/// The tile body: BGK/Guo collide on fluid cells (the one cell body of
+/// [`crate::kernels::op`]) from the `q·64`-double frame at `buf` into the
+/// frame at `dst`. Solid cells store the full-way bounce-back of `buf` —
+/// or, with `SWAP` (the AA even step, `buf == dst`), collide results go to
+/// the opposite slots and solid cells are left as they are. With `simd` the
+/// body runs on 4-wide z-lines of `Avx2<false>` lanes — unfused, so bitwise
+/// equal to `Scalar` lanes — and a line mixing fluid and solid cells blends
+/// the two by the fluid bitmap.
+///
+/// # Safety
+/// `buf` must be valid for `q·64` reads and `dst` for `q·64` writes, owned
+/// by the caller; they are either disjoint or (only with `SWAP`) equal.
+unsafe fn tile_cells<const THIRD: bool, const SWAP: bool, O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
     fluid: u64,
-    buf: &[f64],
-    dst: &mut [f64],
+    buf: *const f64,
+    dst: *mut f64,
+    simd: bool,
 ) {
-    let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let hg = oc.half_g;
-    let g = oc.g;
-    for c in 0..TILE_CELLS {
-        if fluid & (1u64 << c) == 0 {
-            for i in 0..q {
-                dst[i * TILE_CELLS + c] = buf[oc.opp[i] * TILE_CELLS + c];
+    let k = TileCells::<THIRD, SWAP, O> {
+        ctx,
+        oc,
+        fluid,
+        buf,
+        dst,
+        op: PhantomData,
+    };
+    // SAFETY: forwarded contract.
+    unsafe { lanes::dispatch::<_, false>(&k, simd) };
+}
+
+/// One tile's collide (see [`tile_cells`]).
+struct TileCells<'a, const THIRD: bool, const SWAP: bool, O> {
+    ctx: &'a KernelCtx,
+    oc: &'a OpConsts,
+    fluid: u64,
+    buf: *const f64,
+    dst: *mut f64,
+    op: PhantomData<O>,
+}
+
+impl<const THIRD: bool, const SWAP: bool, O: CollideOp> LaneKernel
+    for TileCells<'_, THIRD, SWAP, O>
+{
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(&self) {
+        let kc = CellKernel::<L, THIRD, O>::new(self.ctx, self.oc);
+        let all = (1u64 << L::N) - 1;
+        for off in (0..TILE_CELLS).step_by(L::N) {
+            let bits = (self.fluid >> off) & all;
+            let line = |bits| TileLine::<SWAP> {
+                buf: self.buf.wrapping_add(off),
+                dst: self.dst.wrapping_add(off),
+                opp: &self.oc.opp,
+                bits,
+            };
+            // SAFETY: i·64 + off + N ≤ q·64 for every velocity i.
+            unsafe {
+                if bits == all {
+                    collide_group::<L, THIRD, SWAP, O, _>(&kc.k, self.oc, kc.q, &line(None));
+                } else if bits != 0 {
+                    let mixed = line(Some(bits));
+                    collide_group::<L, THIRD, SWAP, O, _>(&kc.k, self.oc, kc.q, &mixed);
+                } else if !SWAP {
+                    // All-solid line: every lane stores its bounce-back (with
+                    // SWAP the swapped bounce is the identity: nothing to do).
+                    let solid = line(Some(0));
+                    for i in 0..kc.q {
+                        solid.store(i, L::splat(0.0));
+                    }
+                }
             }
-            continue;
-        }
-        let mut rho = 0.0f64;
-        let mut mx = 0.0f64;
-        let mut my = 0.0f64;
-        let mut mz = 0.0f64;
-        for i in 0..q {
-            let cc = oc.cw[i];
-            let fv = buf[i * TILE_CELLS + c];
-            rho += fv;
-            mx += fv * cc[0];
-            my += fv * cc[1];
-            mz += fv * cc[2];
-        }
-        let inv = 1.0 / rho;
-        let (ux, uy, uz, ug);
-        if O::FORCED {
-            ux = (mx + hg[0]) * inv;
-            uy = (my + hg[1]) * inv;
-            uz = (mz + hg[2]) * inv;
-            ug = ux * g[0] + uy * g[1] + uz * g[2];
-        } else {
-            ux = mx * inv;
-            uy = my * inv;
-            uz = mz * inv;
-            ug = 0.0;
-        }
-        let u2 = ux * ux + uy * uy + uz * uz;
-        for i in 0..q {
-            let cc = oc.cw[i];
-            let w = cc[3];
-            let xi = cc[0] * ux + cc[1] * uy + cc[2] * uz;
-            let mut poly = 1.0 + xi * k.inv_cs2 + xi * xi * k.inv_2cs4 - u2 * k.inv_2cs2;
-            if THIRD {
-                poly += xi * (xi * xi - 3.0 * k.cs2 * u2) * k.inv_6cs6;
-            }
-            let feq = w * rho * poly;
-            let fv = buf[i * TILE_CELLS + c];
-            let mut next = fv + omega * (feq - fv);
-            if O::FORCED {
-                next += oc.sa[i] - oc.sb[i] * ug + oc.sc[i] * xi;
-            }
-            dst[i * TILE_CELLS + c] = next;
         }
     }
 }
 
-/// AVX2 tile body: 4-wide z-lines of the tile, **without** FMA contractions
-/// — every lane performs the scalar driver's operation sequence, so the
-/// result is bitwise equal to [`tile_cells_scalar`]. Mixed fluid/solid lines
-/// blend the collide result with the bounce-back line by the fluid bitmap.
-///
-/// # Safety
-/// Caller must ensure AVX2 is available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tile_cells_avx2<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    fluid: u64,
-    buf: &[f64],
-    dst: &mut [f64],
-) {
-    use std::arch::x86_64::*;
+/// One z-line of a tile: velocity `i` at `buf/dst[i·64 + off ..][..N]`.
+/// In the lanes whose `bits` are clear (all lanes collide when `bits` is
+/// `None`) a store to slot `i` keeps `buf[opp(i)·64 + off]`, the bounce
+/// back — or with `SWAP`, the slot's own value.
+struct TileLine<'a, const SWAP: bool> {
+    buf: *const f64,
+    dst: *mut f64,
+    opp: &'a [usize; MAX_Q],
+    bits: Option<u64>,
+}
 
-    const LANES: usize = 4;
-    let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let hg = oc.half_g;
-    let g = oc.g;
-    debug_assert!(buf.len() >= q * TILE_CELLS && dst.len() >= q * TILE_CELLS);
-    let bp = buf.as_ptr();
-    let dp = dst.as_mut_ptr();
-
-    // SAFETY: all offsets are i·64 + line·4 with i < q and line < 16, hence
-    // within the q·64 frames checked above.
-    unsafe {
-        let v_one = _mm256_set1_pd(1.0);
-        let v_omega = _mm256_set1_pd(ctx.omega);
-        let v_inv_cs2 = _mm256_set1_pd(k.inv_cs2);
-        let v_inv_2cs4 = _mm256_set1_pd(k.inv_2cs4);
-        let v_inv_2cs2 = _mm256_set1_pd(k.inv_2cs2);
-        let v_inv_6cs6 = _mm256_set1_pd(k.inv_6cs6);
-        let v_3cs2 = _mm256_set1_pd(3.0 * k.cs2);
-        let v_hg0 = _mm256_set1_pd(hg[0]);
-        let v_hg1 = _mm256_set1_pd(hg[1]);
-        let v_hg2 = _mm256_set1_pd(hg[2]);
-        let v_g0 = _mm256_set1_pd(g[0]);
-        let v_g1 = _mm256_set1_pd(g[1]);
-        let v_g2 = _mm256_set1_pd(g[2]);
-
-        for line in 0..TILE_CELLS / LANES {
-            let off = line * LANES;
-            let bits = (fluid >> off) & 0xF;
-            if bits == 0 {
-                for i in 0..q {
-                    let b = _mm256_loadu_pd(bp.add(oc.opp[i] * TILE_CELLS + off));
-                    _mm256_storeu_pd(dp.add(i * TILE_CELLS + off), b);
+impl<L: Lanes, const SWAP: bool> Slots<L> for TileLine<'_, SWAP> {
+    #[inline(always)]
+    unsafe fn load(&self, i: usize) -> L {
+        // SAFETY: in-frame per the caller.
+        unsafe { L::load(self.buf.add(i * TILE_CELLS)) }
+    }
+    #[inline(always)]
+    unsafe fn store(&self, i: usize, v: L) {
+        // SAFETY: in-frame per the caller. With SWAP a slot is stored once,
+        // after its pair's loads, so `load(i)` still reads the old value.
+        unsafe {
+            let out = match self.bits {
+                None => v,
+                Some(bits) => {
+                    let keep = if SWAP { i } else { self.opp[i] };
+                    L::blend(bits, v, L::load(self.buf.add(keep * TILE_CELLS)))
                 }
-                continue;
-            }
-            // Moments, accumulated in the scalar order (no term skipping,
-            // no FMA).
-            let mut vrho = _mm256_setzero_pd();
-            let mut vmx = _mm256_setzero_pd();
-            let mut vmy = _mm256_setzero_pd();
-            let mut vmz = _mm256_setzero_pd();
-            for i in 0..q {
-                let c = oc.cw[i];
-                let fv = _mm256_loadu_pd(bp.add(i * TILE_CELLS + off));
-                vrho = _mm256_add_pd(vrho, fv);
-                vmx = _mm256_add_pd(vmx, _mm256_mul_pd(fv, _mm256_set1_pd(c[0])));
-                vmy = _mm256_add_pd(vmy, _mm256_mul_pd(fv, _mm256_set1_pd(c[1])));
-                vmz = _mm256_add_pd(vmz, _mm256_mul_pd(fv, _mm256_set1_pd(c[2])));
-            }
-            let vinv = _mm256_div_pd(v_one, vrho);
-            let (vux, vuy, vuz);
-            let mut vug = _mm256_setzero_pd();
-            if O::FORCED {
-                vux = _mm256_mul_pd(_mm256_add_pd(vmx, v_hg0), vinv);
-                vuy = _mm256_mul_pd(_mm256_add_pd(vmy, v_hg1), vinv);
-                vuz = _mm256_mul_pd(_mm256_add_pd(vmz, v_hg2), vinv);
-                vug = _mm256_add_pd(
-                    _mm256_add_pd(_mm256_mul_pd(vux, v_g0), _mm256_mul_pd(vuy, v_g1)),
-                    _mm256_mul_pd(vuz, v_g2),
-                );
-            } else {
-                vux = _mm256_mul_pd(vmx, vinv);
-                vuy = _mm256_mul_pd(vmy, vinv);
-                vuz = _mm256_mul_pd(vmz, vinv);
-            }
-            let vu2 = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(vux, vux), _mm256_mul_pd(vuy, vuy)),
-                _mm256_mul_pd(vuz, vuz),
-            );
-            let blend_mask = if bits == 0xF {
-                _mm256_setzero_pd() // unused
-            } else {
-                let m = |b: u64| -> f64 {
-                    if bits & (1 << b) != 0 {
-                        f64::from_bits(1u64 << 63)
-                    } else {
-                        0.0
-                    }
-                };
-                _mm256_setr_pd(m(0), m(1), m(2), m(3))
             };
-            for i in 0..q {
-                let c = oc.cw[i];
-                let vxi = _mm256_add_pd(
-                    _mm256_add_pd(
-                        _mm256_mul_pd(_mm256_set1_pd(c[0]), vux),
-                        _mm256_mul_pd(_mm256_set1_pd(c[1]), vuy),
-                    ),
-                    _mm256_mul_pd(_mm256_set1_pd(c[2]), vuz),
-                );
-                let mut vpoly = _mm256_sub_pd(
-                    _mm256_add_pd(
-                        _mm256_add_pd(v_one, _mm256_mul_pd(vxi, v_inv_cs2)),
-                        _mm256_mul_pd(_mm256_mul_pd(vxi, vxi), v_inv_2cs4),
-                    ),
-                    _mm256_mul_pd(vu2, v_inv_2cs2),
-                );
-                if THIRD {
-                    let inner = _mm256_sub_pd(_mm256_mul_pd(vxi, vxi), _mm256_mul_pd(v_3cs2, vu2));
-                    vpoly =
-                        _mm256_add_pd(vpoly, _mm256_mul_pd(_mm256_mul_pd(vxi, inner), v_inv_6cs6));
-                }
-                let vfeq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(c[3]), vrho), vpoly);
-                let fv = _mm256_loadu_pd(bp.add(i * TILE_CELLS + off));
-                let mut vnext = _mm256_add_pd(fv, _mm256_mul_pd(v_omega, _mm256_sub_pd(vfeq, fv)));
-                if O::FORCED {
-                    let src = _mm256_add_pd(
-                        _mm256_sub_pd(
-                            _mm256_set1_pd(oc.sa[i]),
-                            _mm256_mul_pd(_mm256_set1_pd(oc.sb[i]), vug),
-                        ),
-                        _mm256_mul_pd(_mm256_set1_pd(oc.sc[i]), vxi),
-                    );
-                    vnext = _mm256_add_pd(vnext, src);
-                }
-                let out = if bits == 0xF {
-                    vnext
-                } else {
-                    let b = _mm256_loadu_pd(bp.add(oc.opp[i] * TILE_CELLS + off));
-                    _mm256_blendv_pd(b, vnext, blend_mask)
-                };
-                _mm256_storeu_pd(dp.add(i * TILE_CELLS + off), out);
-            }
+            out.store(self.dst.add(i * TILE_CELLS));
         }
     }
 }
@@ -791,11 +663,10 @@ fn aa_even_with<O: CollideOp>(
     assert_eq!(f.q(), q, "field q mismatch");
     assert_eq!(f.tile_count(), tiles.tile_count(), "field tile mismatch");
     let oc = OpConsts::new(ctx, &op);
-    let simd = use_simd && sparse_simd_available();
     if ctx.third_order() {
-        aa_even_impl::<true, O>(ctx, tiles, f, &oc, simd, parallel);
+        aa_even_impl::<true, O>(ctx, tiles, f, &oc, use_simd, parallel);
     } else {
-        aa_even_impl::<false, O>(ctx, tiles, f, &oc, simd, parallel);
+        aa_even_impl::<false, O>(ctx, tiles, f, &oc, use_simd, parallel);
     }
 }
 
@@ -807,45 +678,24 @@ fn aa_even_impl<const THIRD: bool, O: CollideOp>(
     simd: bool,
     parallel: bool,
 ) {
-    let q = ctx.lat.q();
     let frame = f.frame_len();
     let total = f.as_slice().len();
     let base = SendPtr(f.as_mut_slice().as_mut_ptr());
 
     let run = move |list: &[usize], _fast: bool| {
         let base = base;
-        let mut out = [0.0f64; MAX_Q * TILE_CELLS];
         for &t in list {
             debug_assert!((t + 1) * frame <= total);
-            let fluid = tiles.tiles[t].fluid;
-            // SAFETY: the even step touches only the tile's own frame and
-            // the work lists partition distinct tiles across tasks.
-            let fr = unsafe { std::slice::from_raw_parts_mut(base.0.add(t * frame), frame) };
-            let outf = &mut out[..frame];
-            #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd` implies AVX2 was detected at runtime.
-                unsafe { tile_cells_avx2::<THIRD, O>(ctx, oc, fluid, fr, outf) };
-                store_swapped(q, &oc.opp, outf, fr);
-                continue;
+            // SAFETY: the even step collides the tile's own frame in place
+            // (the AA cross-store) and the work lists partition distinct
+            // tiles across tasks.
+            unsafe {
+                let fr = base.0.add(t * frame);
+                tile_cells::<THIRD, true, O>(ctx, oc, tiles.tiles[t].fluid, fr, fr, simd);
             }
-            let _ = simd;
-            tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, fr, outf);
-            store_swapped(q, &oc.opp, outf, fr);
         }
     };
     drive_tile_lists(&tiles.aa_even_fast, &tiles.aa_even_slow, parallel, run);
-}
-
-/// `frame[opp(i)·64 ..] ← out[i·64 ..]` for all velocities — the AA
-/// cross-store. On solid cells `out` holds the bounce copy
-/// `frame[opp(i)·64 + c]`, so the swapped store is the identity there.
-#[inline]
-fn store_swapped(q: usize, opp: &[usize; MAX_Q], out: &[f64], frame: &mut [f64]) {
-    for i in 0..q {
-        let o = opp[i] * TILE_CELLS;
-        frame[o..o + TILE_CELLS].copy_from_slice(&out[i * TILE_CELLS..(i + 1) * TILE_CELLS]);
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -863,11 +713,10 @@ fn aa_odd_with<O: CollideOp>(
     assert_eq!(f.tile_count(), tiles.tile_count(), "field tile mismatch");
     assert_eq!(gt.q, q, "gather table lattice mismatch");
     let oc = OpConsts::new(ctx, &op);
-    let simd = use_simd && sparse_simd_available();
     if ctx.third_order() {
-        aa_odd_impl::<true, O>(ctx, tiles, gt, f, &oc, simd, parallel);
+        aa_odd_impl::<true, O>(ctx, tiles, gt, f, &oc, use_simd, parallel);
     } else {
-        aa_odd_impl::<false, O>(ctx, tiles, gt, f, &oc, simd, parallel);
+        aa_odd_impl::<false, O>(ctx, tiles, gt, f, &oc, use_simd, parallel);
     }
 }
 
@@ -908,18 +757,10 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
             }
             let fluid = tiles.tiles[t].fluid;
             let outf = &mut out[..frame];
-            #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd` implies AVX2 was detected at runtime.
-                unsafe { tile_cells_avx2::<THIRD, O>(ctx, oc, fluid, &buf, outf) };
-            } else {
-                tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, &buf, outf);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                let _ = simd;
-                tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, &buf, outf);
-            }
+            // SAFETY: `buf` and `outf` are distinct q·64-double frames.
+            unsafe {
+                tile_cells::<THIRD, false, O>(ctx, oc, fluid, buf.as_ptr(), outf.as_mut_ptr(), simd)
+            };
             // SAFETY: scatter targets are the writer-owned slots above.
             unsafe {
                 if fast {
@@ -1487,7 +1328,7 @@ mod tests {
                     par.frame(t),
                     "{kind:?} par tile {t} differs"
                 );
-                if sparse_simd_available() {
+                if crate::kernels::simd::simd_available() {
                     for (a, b) in scalar.frame(t).iter().zip(simd.frame(t)) {
                         assert!(
                             a.to_bits() == b.to_bits(),

@@ -576,13 +576,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// AA tuning knobs and the periodic x-wrap are scheduling-only: every tune
-// combination must be bitwise-identical to its reference configuration, and
-// the wrap sweep bitwise-identical to the margin sweep over periodically
-// filled ghosts — for arbitrary lattices, wall kinds, masks, forces, fields.
+// The AA periodic x-wrap is scheduling-only: the wrap sweep must be
+// bitwise-identical to the margin sweep over periodically filled ghosts —
+// for arbitrary lattices, wall kinds, masks, forces, fields.
 // ---------------------------------------------------------------------------
 
-use lbm_core::kernels::aa::{self, AaTune};
+use lbm_core::kernels::aa;
 use lbm_core::kernels::GuoForced;
 
 /// First allocation index (if any) where two fields differ in bits — the
@@ -597,72 +596,6 @@ fn first_bit_mismatch(a: &DistField, b: &DistField) -> Option<usize> {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
-
-    /// Non-temporal stores never change a bit anywhere in the allocation:
-    /// for both kernel classes, the even step, the margin odd step and the
-    /// periodic odd step produce identical fields with `nt` on and off.
-    #[test]
-    fn aa_nt_stores_change_no_bits(
-        kind in arb_kind(),
-        order in arb_order(),
-        low in arb_wall(),
-        high in arb_wall(),
-        masked in any::<bool>(),
-        simd in any::<bool>(),
-        nx in 1usize..5,
-        ny_extra in 1usize..5,
-        nz in 8usize..24,
-        gx in -1e-4f64..1e-4,
-        tau in 0.55f64..2.0,
-        seed in any::<u64>(),
-    ) {
-        let ctx = KernelCtx::new(kind, order, Bgk::new(tau).unwrap());
-        let k = ctx.lat.reach();
-        let ny = 2 * k + 1 + ny_extra;
-        let dims = Dim3::new(nx, ny, nz);
-        let mut bounds = BoundarySpec::periodic().with_walls(ChannelWalls { low, high, layers: k });
-        if masked {
-            bounds = bounds.with_mask(SectionMask::from_fn(ny, nz, |_y, z| z >= nz - 4));
-        }
-        let op = GuoForced { g: [gx, 0.0, -0.5 * gx] };
-        let tables = StreamTables::new(ny, nz);
-        let plain = AaTune { simd, nt: false };
-        let nt = AaTune { simd, nt: true };
-
-        // Even step (halo-free field, all planes are writers).
-        let e0 = seeded_field(ctx.lat.q(), dims, 0, seed);
-        let mut a = e0.clone();
-        aa::even_cells(&ctx, &mut a, 0, nx, op, &bounds, plain);
-        let mut b = e0.clone();
-        aa::even_cells(&ctx, &mut b, 0, nx, op, &bounds, nt);
-        prop_assert_eq!(
-            first_bit_mismatch(&a, &b), None,
-            "{:?}/{:?} even simd={}", kind, order, simd
-        );
-
-        // Margin odd step (2k halo, writers extended k planes into it).
-        let b0 = seeded_field(ctx.lat.q(), dims, 2 * k, seed ^ 0x9e3779b97f4a7c15);
-        let alloc_nx = b0.alloc_dims().nx;
-        let mut a = b0.clone();
-        aa::odd_cells(&ctx, &tables, &mut a, k, alloc_nx - k, op, &bounds, plain);
-        let mut b = b0.clone();
-        aa::odd_cells(&ctx, &tables, &mut b, k, alloc_nx - k, op, &bounds, nt);
-        prop_assert_eq!(
-            first_bit_mismatch(&a, &b), None,
-            "{:?}/{:?} odd simd={}", kind, order, simd
-        );
-
-        // Periodic odd step (halo-free, the x-shift wraps in place).
-        let p0 = seeded_field(ctx.lat.q(), dims, 0, seed ^ 0x6a09e667f3bcc909);
-        let mut a = p0.clone();
-        aa::odd_cells_periodic(&ctx, &tables, &mut a, 0, nx, op, &bounds, plain);
-        let mut b = p0.clone();
-        aa::odd_cells_periodic(&ctx, &tables, &mut b, 0, nx, op, &bounds, nt);
-        prop_assert_eq!(
-            first_bit_mismatch(&a, &b), None,
-            "{:?}/{:?} periodic odd simd={}", kind, order, simd
-        );
-    }
 
     /// The periodic wrap sweep is bitwise the margin sweep over periodically
     /// filled ghost planes (the decomposed single-rank path it replaced),
@@ -695,7 +628,6 @@ proptest! {
         }
         let op = GuoForced { g: [gx, 0.0, -0.5 * gx] };
         let tables = StreamTables::new(ny, nz);
-        let tune = AaTune { simd, nt: false };
         let m0 = seeded_field(q, dims, h, seed);
         let da = m0.alloc_dims();
         let plane = ny * nz;
@@ -710,7 +642,7 @@ proptest! {
                 p.slab_mut(i)[t..t + plane].copy_from_slice(&m0.slab(i)[s..s + plane]);
             }
         }
-        aa::odd_cells_periodic(&ctx, &tables, &mut p, 0, nx, op, &bounds, tune);
+        aa::odd_cells_periodic(&ctx, &tables, &mut p, 0, nx, op, &bounds, simd);
 
         // Rayon periodic driver bitwise serial.
         let mut p_par = DistField::new(q, dims, 0).unwrap();
@@ -729,7 +661,7 @@ proptest! {
             });
         }
         kernels::par::aa_odd_cells_periodic_par(
-            &ctx, &tables, &mut p_par, 0, nx, op, &bounds, tune,
+            &ctx, &tables, &mut p_par, 0, nx, op, &bounds, simd,
         );
         prop_assert_eq!(
             first_bit_mismatch(&p, &p_par), None,
@@ -750,7 +682,7 @@ proptest! {
                 m.slab_mut(i)[t..t + plane].copy_from_slice(&row);
             }
         }
-        aa::odd_cells(&ctx, &tables, &mut m, h - k, h + nx + k, op, &bounds, tune);
+        aa::odd_cells(&ctx, &tables, &mut m, h - k, h + nx + k, op, &bounds, simd);
 
         // Owned planes must agree bitwise.
         for i in 0..q {
