@@ -15,8 +15,8 @@
 //! The serial and rayon drivers run the identical per-cell arithmetic in the
 //! identical order over disjoint x-plane chunks, so threaded scenario runs
 //! are bit-identical to serial runs — the same guarantee the periodic ladder
-//! kernels give. The SIMD- and Fused-class scenario variants live in
-//! [`crate::kernels::simd`] and [`crate::kernels::fused_simd`].
+//! kernels give. The SIMD- and Fused-class scenario collides run the same
+//! drivers on AVX2+FMA lanes ([`crate::kernels::collide_scenario`]).
 
 use crate::boundary::BoundarySpec;
 use crate::field::DistField;

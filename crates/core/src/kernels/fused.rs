@@ -30,10 +30,11 @@
 //!
 //! The traversal is written once, generic over the lane type of
 //! `kernels::lanes`, and collides each gathered lane group with the
-//! one cell body of [`crate::kernels::op`]. This module's entry points run
-//! it with `Scalar` lanes; [`crate::kernels::fused_simd`] runs the same
-//! traversal with `Avx2<true>` lanes, and [`crate::kernels::par`] runs
-//! either per disjoint x-chunk. The ablation benchmark
+//! one cell body of [`crate::kernels::op`]. This module's public entry
+//! points run it with `Scalar` lanes; the `Fused` rung's dispatchers in
+//! [`crate::kernels`] run the same traversal with `Avx2<true>` lanes
+//! (the rung's notes and tests are in [`crate::kernels::fused_simd`]), and
+//! [`crate::kernels::par`] runs either per disjoint x-chunk. The ablation benchmark
 //! (`cargo bench -p lbm-bench kernels`) quantifies what the paper predicted.
 
 use std::marker::PhantomData;
@@ -87,6 +88,23 @@ pub fn stream_collide_cells<O: CollideOp>(
     op: O,
     bounds: &BoundarySpec,
 ) {
+    stream_collide_field(ctx, tables, src, dst, x_lo, x_hi, op, bounds, false);
+}
+
+/// [`stream_collide_cells`] with the lane type chosen by `simd` (AVX2+FMA
+/// when asked for and available).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stream_collide_field<O: CollideOp>(
+    ctx: &KernelCtx,
+    tables: &StreamTables,
+    src: &DistField,
+    dst: &mut DistField,
+    x_lo: usize,
+    x_hi: usize,
+    op: O,
+    bounds: &BoundarySpec,
+    simd: bool,
+) {
     check_fused_bounds(ctx, src, dst, x_lo, x_hi);
     let total = dst.as_slice().len();
     let dst_ptr = dst.as_mut_ptr();
@@ -94,7 +112,7 @@ pub fn stream_collide_cells<O: CollideOp>(
     // the bounds check above keeps every raw write inside them.
     unsafe {
         stream_collide_cells_raw(
-            ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds, false,
+            ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds, simd,
         )
     }
 }

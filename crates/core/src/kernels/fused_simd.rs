@@ -7,81 +7,56 @@
 //! the paper hand-coded for the collide function (§V-G), applied to the
 //! kernel shape its conclusion (§VII) asks for.
 //!
-//! There is no separate vector body: this module runs the one fused
-//! traversal of [`crate::kernels::fused`] with the `Avx2<true>` lane type of
-//! `kernels::lanes` — the same per-cell arithmetic as every other
-//! driver, each `a·b + c` fused, the last `blk % 4` cells of a tile block
-//! finished by the `Scalar` instantiation. Wall rows, masked cells, the
-//! rotate-copy gather and its prefetch are the traversal's, unchanged.
-//! Without AVX2+FMA the rung runs `Scalar` throughout, so the crate stays
-//! portable.
-
-use crate::boundary::BoundarySpec;
-use crate::field::DistField;
-use crate::kernels::fused;
-use crate::kernels::op::{CollideOp, PlainBgk};
-use crate::kernels::{KernelCtx, StreamTables};
-
-/// One fused LBM step `dst ← collide(pull(src))` over planes
-/// `x ∈ [x_lo, x_hi)`, vectorized when the host supports AVX2+FMA.
-///
-/// Halo contract identical to [`fused::stream_collide`]: `src` must be valid
-/// on `[x_lo − k, x_hi + k)`; `src` is read-only.
-pub fn stream_collide(
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    src: &DistField,
-    dst: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-) {
-    stream_collide_cells(
-        ctx,
-        tables,
-        src,
-        dst,
-        x_lo,
-        x_hi,
-        PlainBgk,
-        &BoundarySpec::periodic(),
-    );
-}
-
-/// Boundary-aware vectorized fused step: the rule `op` on the fluid cells of
-/// `bounds`, the wall/mask transforms on its solid cells, in one pass.
-#[allow(clippy::too_many_arguments)]
-pub fn stream_collide_cells<O: CollideOp>(
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    src: &DistField,
-    dst: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    op: O,
-    bounds: &BoundarySpec,
-) {
-    fused::check_fused_bounds(ctx, src, dst, x_lo, x_hi);
-    let total = dst.as_slice().len();
-    let dst_ptr = dst.as_mut_ptr();
-    // SAFETY: `&mut dst` grants exclusive access to all `total` doubles, and
-    // the bounds check above keeps every raw write inside them.
-    unsafe {
-        fused::stream_collide_cells_raw(
-            ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds, true,
-        )
-    }
-}
+//! There is no separate vector body and no entry point here:
+//! [`crate::kernels::stream_collide`] at the `Fused` rung,
+//! [`crate::kernels::stream_collide_scenario`] and the rayon drivers of
+//! [`crate::kernels::par`] run the one fused traversal of
+//! [`crate::kernels::fused`] with the `Avx2<true>` lane type of
+//! `kernels::lanes` — the same per-cell arithmetic as every other driver,
+//! each `a·b + c` fused, the last `blk % 4` cells of a tile block finished
+//! by the `Scalar` instantiation. Wall rows, masked cells, the rotate-copy
+//! gather and its prefetch are the traversal's, unchanged. Without
+//! AVX2+FMA the rung runs `Scalar` throughout, so the crate stays portable.
+//! This module holds the rung's tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::boundary::{ChannelWalls, SectionMask};
+    use crate::boundary::{BoundarySpec, ChannelWalls, SectionMask};
     use crate::collision::Bgk;
     use crate::equilibrium::EqOrder;
+    use crate::field::DistField;
     use crate::index::Dim3;
-    use crate::kernels::op::GuoForced;
-    use crate::kernels::{dh, OptLevel};
+    use crate::kernels::op::{CollideOp, GuoForced, PlainBgk};
+    use crate::kernels::{dh, fused, KernelCtx, OptLevel, StreamTables};
     use crate::lattice::LatticeKind;
+
+    /// The `Fused` rung's plain periodic pass.
+    fn stream_collide(
+        ctx: &KernelCtx,
+        tables: &StreamTables,
+        src: &DistField,
+        dst: &mut DistField,
+        x_lo: usize,
+        x_hi: usize,
+    ) {
+        let periodic = BoundarySpec::periodic();
+        stream_collide_cells(ctx, tables, src, dst, x_lo, x_hi, PlainBgk, &periodic);
+    }
+
+    /// The `Fused` rung's boundary-aware pass under `op`.
+    #[allow(clippy::too_many_arguments)]
+    fn stream_collide_cells<O: CollideOp>(
+        ctx: &KernelCtx,
+        tables: &StreamTables,
+        src: &DistField,
+        dst: &mut DistField,
+        x_lo: usize,
+        x_hi: usize,
+        op: O,
+        bounds: &BoundarySpec,
+    ) {
+        fused::stream_collide_field(ctx, tables, src, dst, x_lo, x_hi, op, bounds, true);
+    }
 
     fn ctx(kind: LatticeKind, order: EqOrder) -> KernelCtx {
         KernelCtx::new(kind, order, Bgk::new(0.8).unwrap())

@@ -1,18 +1,21 @@
 //! Lane types: the one place the kernels touch `std::arch`.
 //!
 //! Every collide traversal is written once, generic over a [`Lanes`] type,
-//! and instantiated twice:
+//! and instantiated with two lane types:
 //!
-//! * [`Scalar`] — one `f64` lane; `mul_add` is the unfused `a·b + c`. This
-//!   is the reference recipe, and it also finishes every vector run's tail.
+//! * [`Scalar`] — `W` plain `f64` lanes; `mul_add` is the unfused
+//!   `a·b + c`. This is the reference recipe: every lane computes exactly
+//!   the one-cell scalar sequence. The scalar path runs `Scalar<4>` groups
+//!   (the same group shape as AVX2), and `Scalar<1>` finishes every run's
+//!   tail, vector or not.
 //! * [`Avx2`] — four `f64` lanes in a `__m256d`. With `FMA = true`,
 //!   `mul_add` is one fused multiply-add (the dense `Simd`/`Fused` rungs and
 //!   the AA drivers). With `FMA = false` it stays a multiply then an add, so
 //!   every lane repeats the scalar recipe bit for bit (the sparse drivers).
 //!
 //! A traversal implements [`LaneKernel`]; [`dispatch`] runs it with
-//! `Avx2<FMA>` when asked to and the host has AVX2+FMA, and with `Scalar`
-//! otherwise. The `Avx2` instantiation runs inside [`run_avx2`], the only
+//! `Avx2<FMA>` when asked to and the host has AVX2+FMA, and with
+//! `Scalar<4>` otherwise. The `Avx2` instantiation runs inside [`run_avx2`], the only
 //! `#[target_feature]` function: every lane method and every traversal is
 //! `#[inline(always)]`, so the whole traversal is compiled with AVX2+FMA
 //! enabled and the intrinsics inline to single instructions.
@@ -62,58 +65,71 @@ pub(crate) trait Lanes: Copy {
     fn blend(bits: u64, set: Self, clear: Self) -> Self;
 }
 
-/// One `f64` lane: the reference recipe.
+/// `W` plain `f64` lanes: the reference recipe, each lane computing
+/// exactly the scalar operation sequence (Rust never contracts `a·b + c`).
+/// Traversals run `Scalar<4>` groups, whose independent lanes the compiler
+/// packs into SSE2 registers (a one-cell group runs about half as fast),
+/// and finish every run with `Scalar<1>` tails.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Scalar(f64);
+pub(crate) struct Scalar<const W: usize = 1>([f64; W]);
 
-impl Lanes for Scalar {
-    const N: usize = 1;
+impl<const W: usize> Scalar<W> {
+    #[inline(always)]
+    fn zip(self, b: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        Self(std::array::from_fn(|l| f(self.0[l], b.0[l])))
+    }
+}
+
+impl<const W: usize> Lanes for Scalar<W> {
+    const N: usize = W;
 
     #[inline(always)]
     unsafe fn load(p: *const f64) -> Self {
         // SAFETY: forwarded contract.
-        Self(unsafe { *p })
+        Self(unsafe { p.cast::<[f64; W]>().read_unaligned() })
     }
     #[inline(always)]
     unsafe fn store(self, p: *mut f64) {
         // SAFETY: forwarded contract.
-        unsafe { *p = self.0 }
+        unsafe { p.cast::<[f64; W]>().write_unaligned(self.0) }
     }
     #[inline(always)]
     fn splat(x: f64) -> Self {
-        Self(x)
+        Self([x; W])
     }
     #[inline(always)]
     fn add(self, b: Self) -> Self {
-        Self(self.0 + b.0)
+        self.zip(b, |x, y| x + y)
     }
     #[inline(always)]
     fn sub(self, b: Self) -> Self {
-        Self(self.0 - b.0)
+        self.zip(b, |x, y| x - y)
     }
     #[inline(always)]
     fn mul(self, b: Self) -> Self {
-        Self(self.0 * b.0)
+        self.zip(b, |x, y| x * y)
     }
     #[inline(always)]
     fn div(self, b: Self) -> Self {
-        Self(self.0 / b.0)
+        self.zip(b, |x, y| x / y)
     }
     #[inline(always)]
     fn mul_add(self, b: Self, c: Self) -> Self {
-        Self(self.0 * b.0 + c.0)
+        self.mul(b).add(c)
     }
     #[inline(always)]
     fn neg_mul_add(self, b: Self, c: Self) -> Self {
-        Self(c.0 - self.0 * b.0)
+        c.sub(self.mul(b))
     }
     #[inline(always)]
     fn blend(bits: u64, set: Self, clear: Self) -> Self {
-        if bits & 1 != 0 {
-            set
-        } else {
-            clear
-        }
+        Self(std::array::from_fn(|l| {
+            if bits >> l & 1 != 0 {
+                set.0[l]
+            } else {
+                clear.0[l]
+            }
+        }))
     }
 }
 
@@ -240,7 +256,7 @@ pub(crate) trait LaneKernel {
 }
 
 /// Run `kernel` with `Avx2<FMA>` lanes when `simd` is asked for and the
-/// host has AVX2+FMA, else with [`Scalar`] lanes.
+/// host has AVX2+FMA, else with `Scalar<4>` lanes.
 ///
 /// # Safety
 /// The kernel's own contract.
@@ -254,7 +270,7 @@ pub(crate) unsafe fn dispatch<K: LaneKernel, const FMA: bool>(kernel: &K, simd: 
     }
     let _ = simd;
     // SAFETY: forwarded contract.
-    unsafe { kernel.run::<Scalar>() }
+    unsafe { kernel.run::<Scalar<4>>() }
 }
 
 /// The AVX2+FMA entry point of every traversal.
@@ -320,8 +336,10 @@ mod tests {
 
     #[test]
     fn blend_takes_set_lanes_by_bit() {
-        assert_eq!(Scalar::blend(1, Scalar(2.0), Scalar(3.0)).0, 2.0);
-        assert_eq!(Scalar::blend(0, Scalar(2.0), Scalar(3.0)).0, 3.0);
+        assert_eq!(Scalar::blend(1, Scalar([2.0]), Scalar([3.0])).0, [2.0]);
+        assert_eq!(Scalar::blend(0, Scalar([2.0]), Scalar([3.0])).0, [3.0]);
+        let v = Scalar::<4>::blend(0b0101, Scalar::splat(1.0), Scalar::splat(-1.0));
+        assert_eq!(v.0, [1.0, -1.0, 1.0, -1.0]);
         #[cfg(target_arch = "x86_64")]
         if simd_available() {
             let v = Avx2::<true>::blend(0b0101, Avx2::splat(1.0), Avx2::splat(-1.0));

@@ -16,6 +16,10 @@
 //! | `Simd`  | SIMD (V-G)             | [`simd`] — the [`op`] collide on `Avx2<true>` lanes | overlapped (Fig. 7) |
 //! | `Fused` | §VII future work       | [`fused_simd`] — the [`fused`] single pass on `Avx2<true>` lanes | overlapped (Fig. 7) |
 //!
+//! The `Simd` and `Fused` rows have no entry points of their own: the
+//! dispatchers below pick the lane type from the rung's kernel class and
+//! call the one traversal with it.
+//!
 //! The `Fused` rung goes past the paper's ladder: it implements the
 //! conclusion's "reduce the memory accesses per lattice update" direction by
 //! merging the two sweeps into one pass (`2·Q·8` bytes/cell instead of the
@@ -285,7 +289,10 @@ pub fn collide(level: OptLevel, ctx: &KernelCtx, f: &mut DistField, x_lo: usize,
         KernelClass::Dh => dh::collide(ctx, f, x_lo, x_hi),
         KernelClass::Cf => cf::collide(ctx, f, x_lo, x_hi),
         KernelClass::LoBr => lobr::collide(ctx, f, x_lo, x_hi),
-        KernelClass::Simd | KernelClass::Fused => simd::collide(ctx, f, x_lo, x_hi),
+        KernelClass::Simd | KernelClass::Fused => {
+            let periodic = BoundarySpec::periodic();
+            op::collide_field(ctx, f, x_lo, x_hi, PlainBgk, &periodic, true);
+        }
     }
 }
 
@@ -306,7 +313,8 @@ pub fn stream_collide(
     x_hi: usize,
 ) {
     if level.kernel_class() == KernelClass::Fused {
-        fused_simd::stream_collide(ctx, tables, src, dst, x_lo, x_hi);
+        let periodic = BoundarySpec::periodic();
+        fused::stream_collide_field(ctx, tables, src, dst, x_lo, x_hi, PlainBgk, &periodic, true);
     } else {
         stream(level, ctx, tables, src, dst, x_lo, x_hi);
         collide(level, ctx, dst, x_lo, x_hi);
@@ -330,14 +338,15 @@ pub fn collide_scenario(
     g: [f64; 3],
     bounds: &BoundarySpec,
 ) {
-    match level.kernel_class() {
-        KernelClass::Simd | KernelClass::Fused => {
-            op::with_op!(g, |rule| simd::collide_cells(
-                ctx, f, x_lo, x_hi, rule, bounds
-            ));
-        }
-        _ => forced::collide_forced(ctx, f, x_lo, x_hi, g, bounds),
-    }
+    op::with_op!(g, |rule| op::collide_field(
+        ctx,
+        f,
+        x_lo,
+        x_hi,
+        rule,
+        bounds,
+        use_simd(level)
+    ));
 }
 
 /// Rayon-parallel [`collide_scenario`]: disjoint x-plane chunks, each
@@ -351,9 +360,14 @@ pub fn collide_scenario_par(
     g: [f64; 3],
     bounds: &BoundarySpec,
 ) {
-    let use_simd = matches!(level.kernel_class(), KernelClass::Simd | KernelClass::Fused);
     op::with_op!(g, |rule| par::collide_cells_par(
-        ctx, f, x_lo, x_hi, rule, bounds, use_simd
+        ctx,
+        f,
+        x_lo,
+        x_hi,
+        rule,
+        bounds,
+        use_simd(level)
     ));
 }
 
@@ -373,8 +387,8 @@ pub fn stream_collide_scenario(
     g: [f64; 3],
     bounds: &BoundarySpec,
 ) {
-    op::with_op!(g, |rule| fused_simd::stream_collide_cells(
-        ctx, tables, src, dst, x_lo, x_hi, rule, bounds
+    op::with_op!(g, |rule| fused::stream_collide_field(
+        ctx, tables, src, dst, x_lo, x_hi, rule, bounds, true
     ));
 }
 
@@ -396,9 +410,9 @@ pub fn stream_collide_scenario_par(
     ));
 }
 
-/// Whether `level`'s kernel class runs the AA drivers with AVX2+FMA lanes
-/// (the same class split as the two-grid ladder: `Simd` and above).
-const fn aa_use_simd(level: OptLevel) -> bool {
+/// Whether `level`'s kernel class runs its traversals with AVX2+FMA lanes
+/// (`Simd` and above; when the host has them).
+const fn use_simd(level: OptLevel) -> bool {
     matches!(level.kernel_class(), KernelClass::Simd | KernelClass::Fused)
 }
 
@@ -422,7 +436,7 @@ pub fn aa_even_scenario(
         x_hi,
         rule,
         bounds,
-        aa_use_simd(level)
+        use_simd(level)
     ));
 }
 
@@ -444,7 +458,7 @@ pub fn aa_even_scenario_par(
         x_hi,
         rule,
         bounds,
-        aa_use_simd(level)
+        use_simd(level)
     ));
 }
 
@@ -471,7 +485,7 @@ pub fn aa_odd_scenario(
         x_hi,
         rule,
         bounds,
-        aa_use_simd(level)
+        use_simd(level)
     ));
 }
 
@@ -498,7 +512,7 @@ pub fn aa_odd_scenario_periodic(
         x_hi,
         rule,
         bounds,
-        aa_use_simd(level)
+        use_simd(level)
     ));
 }
 
@@ -524,7 +538,7 @@ pub fn aa_odd_scenario_par(
         x_hi,
         rule,
         bounds,
-        aa_use_simd(level)
+        use_simd(level)
     ));
 }
 
@@ -549,7 +563,7 @@ pub fn aa_odd_scenario_periodic_par(
         x_hi,
         rule,
         bounds,
-        aa_use_simd(level)
+        use_simd(level)
     ));
 }
 

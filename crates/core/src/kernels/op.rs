@@ -21,9 +21,10 @@
 //!   [`+ ξ(ξ² − 3c_s² u²)/(6c_s⁶)`], `f^eq = (w ρ)·poly`, the BGK relax
 //!   `f + ω(f^eq − f)` and the Guo source below.
 //!
-//! With `Scalar` lanes every multiply-add is a separate multiply and add:
-//! the reference recipe, and what the scalar rungs, the sparse drivers and
-//! every vector tail compute. With `Avx2<true>` lanes each multiply-add is
+//! With `Scalar` lanes every multiply-add is a separate multiply and add on
+//! plain `f64`s: the reference recipe, and what the scalar rungs, the
+//! sparse drivers and every tail compute (a `Scalar<4>` group is four
+//! independent copies of the one-cell sequence). With `Avx2<true>` lanes each multiply-add is
 //! one fused instruction (`Simd`/`Fused` rungs, AVX2 AA steps).
 //!
 //! `collide_group` is the one cell body of every in-place traversal: the

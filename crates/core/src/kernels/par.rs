@@ -503,7 +503,8 @@ mod tests {
             let src = random_field(c.lat.q(), dims, k, 83);
             let tables = StreamTables::new(dims.ny, dims.nz);
             let mut serial = DistField::new(c.lat.q(), dims, k).unwrap();
-            crate::kernels::fused_simd::stream_collide(
+            crate::kernels::stream_collide(
+                crate::kernels::OptLevel::Fused,
                 &c,
                 &tables,
                 &src,

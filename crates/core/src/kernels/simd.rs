@@ -7,8 +7,10 @@
 //! equilibrium polynomial, and relaxation all in vector registers with fused
 //! multiply-adds (the same `fpmadd` idea the paper invokes).
 //!
-//! There is no separate vector body. This rung runs the one in-place collide
-//! traversal of [`crate::kernels::op`] with the `Avx2<true>` lane type of
+//! There is no separate vector body and no collide entry point here:
+//! [`crate::kernels::collide`] and [`crate::kernels::collide_scenario`] at
+//! this rung run the one in-place collide traversal of
+//! [`crate::kernels::op`] with the `Avx2<true>` lane type of
 //! `kernels::lanes` instead of `Scalar`: the same per-cell
 //! arithmetic in the same association order, each `a·b + c` fused. Each
 //! fluid z-run is swept four cells at a time, and the last `len % 4` cells
@@ -17,44 +19,24 @@
 //! when that fallback was taken). Streaming is already a memcpy exercise
 //! after LoBr, so this rung reuses the CF/LoBr stream.
 
-use crate::boundary::BoundarySpec;
-use crate::field::DistField;
-use crate::kernels::op::{self, CollideOp, PlainBgk};
-use crate::kernels::{lanes, KernelCtx};
+use crate::kernels::lanes;
 
 /// True when the vectorized path is available on this CPU (AVX2 and FMA).
 pub fn simd_available() -> bool {
     lanes::simd_available()
 }
 
-/// Vectorized BGK collide over planes `x ∈ [x_lo, x_hi)`.
-pub fn collide(ctx: &KernelCtx, f: &mut DistField, x_lo: usize, x_hi: usize) {
-    collide_cells(ctx, f, x_lo, x_hi, PlainBgk, &BoundarySpec::periodic());
-}
-
-/// Vectorized boundary-aware collide: the rule `op` applied to every fluid
-/// cell of `bounds` over planes `x ∈ [x_lo, x_hi)` (wall rows and masked
-/// cells untouched).
-pub fn collide_cells<O: CollideOp>(
-    ctx: &KernelCtx,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    op: O,
-    bounds: &BoundarySpec,
-) {
-    op::collide_field(ctx, f, x_lo, x_hi, op, bounds, true);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::{ChannelWalls, SectionMask};
+    use crate::boundary::{BoundarySpec, ChannelWalls, SectionMask};
     use crate::collision::Bgk;
     use crate::equilibrium::EqOrder;
+    use crate::field::DistField;
     use crate::index::Dim3;
     use crate::kernels::dh;
-    use crate::kernels::op::GuoForced;
+    use crate::kernels::op::{self, CollideOp, GuoForced};
+    use crate::kernels::{KernelCtx, OptLevel};
     use crate::lattice::LatticeKind;
 
     fn ctx(kind: LatticeKind) -> KernelCtx {
@@ -64,6 +46,23 @@ mod tests {
             EqOrder::Second
         };
         KernelCtx::new(kind, order, Bgk::new(0.85).unwrap())
+    }
+
+    /// The `Simd` rung's plain periodic collide.
+    fn collide(ctx: &KernelCtx, f: &mut DistField, x_lo: usize, x_hi: usize) {
+        crate::kernels::collide(OptLevel::Simd, ctx, f, x_lo, x_hi);
+    }
+
+    /// The `Simd` rung's boundary-aware collide under `op`.
+    fn collide_cells<O: CollideOp>(
+        ctx: &KernelCtx,
+        f: &mut DistField,
+        x_lo: usize,
+        x_hi: usize,
+        op: O,
+        bounds: &BoundarySpec,
+    ) {
+        op::collide_field(ctx, f, x_lo, x_hi, op, bounds, true);
     }
 
     fn random_field(q: usize, dims: Dim3, seed: u64) -> DistField {

@@ -17,11 +17,17 @@
 //! values — so on a shared geometry the sparse fluid trajectory is
 //! **bitwise equal** to the dense masked path.
 //!
+//! The gather (and the AA odd step's scatter) walks the merged segment plan
+//! of [`GatherTable`]: one inline copy per unit-stride segment, vacuum for
+//! a segment whose neighbour is unallocated, so every tile class moves its
+//! data the same way.
+//!
 //! The per-tile body is written once over the lane type of
-//! `kernels::lanes`. `use_simd` runs it on 4-wide z-lines of a
-//! tile with `Avx2<false>` lanes — no fused multiply-adds, so every lane
-//! repeats the `Scalar` recipe and the two are bitwise equal (unlike the
-//! dense `Simd` rung, which trades exactness for fused multiply-adds). The
+//! `kernels::lanes` and runs on the 4-cell z-lines of a tile: `Scalar<4>`
+//! lanes, or with `use_simd` `Avx2<false>` lanes — no fused multiply-adds,
+//! so every lane repeats the `Scalar` recipe and the two are bitwise equal
+//! (unlike the dense `Simd` rung, which trades exactness for fused
+//! multiply-adds). The
 //! rayon drivers run disjoint owned-tile chunks of the same body; they are
 //! bitwise equal to serial since tiles are independent given `src`.
 
@@ -122,9 +128,8 @@ impl SparseField {
 /// destination cells starting at `dst` all pull from the same neighbour
 /// `slot` at consecutive source cells starting at `src`. Because cells are
 /// packed z-fastest and every velocity shift is a constant offset, a row's
-/// 64 entries collapse into a handful of such segments — the full-tile fast
-/// path replaces the per-cell table walk with one `copy_from_slice` per
-/// segment.
+/// 64 entries collapse into a handful of such segments, and the gather
+/// and scatter run one inline copy per segment instead of a per-cell walk.
 #[derive(Clone, Copy, Debug)]
 struct Seg {
     dst: u8,
@@ -138,10 +143,11 @@ struct Seg {
 /// source lives in and its cell index there. Valid because every velocity
 /// component is ≤ 3 < [`TILE_B`], so the source is at most one tile away.
 ///
-/// Alongside the per-cell entries it carries the merged segment plan
-/// ([`Seg`]) driving the full-tile direct-addressed fast path; both views
-/// describe the identical source addresses, so the fast path is bitwise
-/// equal to the walk by construction.
+/// Alongside the per-cell entries (used where single cells are addressed,
+/// e.g. [`zero_escaping_slots`]) it carries the merged segment plan
+/// ([`Seg`]) that drives every gather and scatter; both views describe the
+/// identical source addresses, so the two are bitwise equal by
+/// construction.
 #[derive(Clone, Debug)]
 pub struct GatherTable {
     q: usize,
@@ -151,6 +157,9 @@ pub struct GatherTable {
     segs: Vec<Seg>,
     /// `segs` range of velocity `i`: `seg_off[i]..seg_off[i + 1]`.
     seg_off: Vec<u32>,
+    /// Per velocity: `n` when its row is the z-shift pattern — every 4-cell
+    /// z-line one segment of `n` cells then one of `4 − n` — else 0.
+    split: Vec<u8>,
 }
 
 impl GatherTable {
@@ -186,6 +195,7 @@ impl GatherTable {
         // destination cell pulls from the same slot at the next source cell.
         let mut segs = Vec::new();
         let mut seg_off = Vec::with_capacity(q + 1);
+        let mut split = Vec::with_capacity(q);
         seg_off.push(0u32);
         for i in 0..q {
             let row = &entries[i * TILE_CELLS..(i + 1) * TILE_CELLS];
@@ -208,6 +218,15 @@ impl GatherTable {
                 });
                 c += len;
             }
+            let row = &segs[*seg_off.last().expect("row start") as usize..];
+            let n = row[0].len as usize;
+            let z_shift = row.len() == 2 * TILE_CELLS / TILE_B
+                && row.chunks_exact(2).enumerate().all(|(l, p)| {
+                    p[0].dst as usize == l * TILE_B
+                        && p[0].len as usize == n
+                        && p[1].len as usize == TILE_B - n
+                });
+            split.push(if z_shift { n as u8 } else { 0 });
             seg_off.push(segs.len() as u32);
         }
         Self {
@@ -215,6 +234,7 @@ impl GatherTable {
             entries,
             segs,
             seg_off,
+            split,
         }
     }
 
@@ -228,6 +248,26 @@ impl GatherTable {
     #[inline]
     fn seg_row(&self, i: usize) -> &[Seg] {
         &self.segs[self.seg_off[i] as usize..self.seg_off[i + 1] as usize]
+    }
+
+    /// `f(seg, len)` for every segment of velocity `i`'s row. On a z-shift
+    /// row each call site sees `len` as a constant, so the copies compile
+    /// to fixed moves instead of length-dependent branches.
+    #[inline(always)]
+    fn for_each_seg(&self, i: usize, mut f: impl FnMut(&Seg, usize)) {
+        let row = self.seg_row(i);
+        let mut pairs = |n: usize| {
+            for p in row.chunks_exact(2) {
+                f(&p[0], n);
+                f(&p[1], TILE_B - n);
+            }
+        };
+        match self.split[i] {
+            1 => pairs(1),
+            2 => pairs(2),
+            3 => pairs(3),
+            _ => row.iter().for_each(|s| f(s, s.len as usize)),
+        }
     }
 }
 
@@ -309,10 +349,6 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     let base = SendPtr(dst.as_mut_slice().as_mut_ptr());
     let src_data = src.as_slice();
 
-    // Fast-class tiles (all-fluid, all neighbours allocated) replace the
-    // per-cell table walk with the merged segment copies; the gathered
-    // buffer is identical, so the collide output is bitwise equal. Both
-    // lists are in packed (z-local) order.
     let run = move |list: &[usize], fast: bool| {
         let base = base; // capture the whole SendPtr, not its raw-ptr field
         let mut buf = [0.0f64; MAX_Q * TILE_CELLS];
@@ -328,9 +364,9 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
                 prefetch_next_tile(src_data, tiles, t_next, frame);
             }
             if fast {
-                gather_tile_fast(q, gt, nbrs, src_data, &mut buf);
+                gather_tile::<true>(q, gt, nbrs, src_data, &mut buf, |i| i);
             } else {
-                gather_tile(q, gt, nbrs, src_data, &mut buf);
+                gather_tile::<false>(q, gt, nbrs, src_data, &mut buf, |i| i);
             }
             debug_assert!((t + 1) * frame <= total);
             // SAFETY: the fast/slow lists partition the owned tiles and
@@ -399,50 +435,85 @@ fn prefetch_next_tile(src: &[f64], tiles: &SparseTiles, t_next: usize, frame: us
     lanes::prefetch_span(src.as_ptr(), lo, (lo + frame).min(src.len()));
 }
 
-/// Pull-stream one tile through the neighbour table into `buf[i·64 + c]`;
-/// an unallocated neighbour (`-1`) contributes vacuum.
+/// Pull-stream one tile into `buf[i·64 + c] ← src[(x − c_i, v(i))]`, where
+/// `v(i)` is the stored velocity that holds the arrival (`i` for two-grid
+/// storage, `opp(i)` for the AA odd step). Each merged segment is one
+/// unit-stride copy from its neighbour's frame; an unallocated neighbour
+/// (`-1`) contributes vacuum. `FAST` (every neighbour allocated, the
+/// fast-class tiles) drops the vacuum test.
 #[inline]
-fn gather_tile(
+fn gather_tile<const FAST: bool>(
     q: usize,
     gt: &GatherTable,
     nbrs: &[i32; TILE_NEIGHBORS],
     src: &[f64],
     buf: &mut [f64],
+    v: impl Fn(usize) -> usize,
 ) {
+    assert!(buf.len() >= q * TILE_CELLS, "gather buffer too short");
+    check_neighbors::<FAST>(nbrs, q, src.len());
+    let zeros = [0.0f64; TILE_CELLS];
     for i in 0..q {
-        let row = gt.row(i);
-        let out = &mut buf[i * TILE_CELLS..(i + 1) * TILE_CELLS];
-        for (c, o) in out.iter_mut().enumerate() {
-            let (slot, sc) = row[c];
-            let t = nbrs[slot as usize];
-            *o = if t < 0 {
-                0.0
+        let vi = v(i);
+        debug_assert!(vi < q);
+        gt.for_each_seg(i, |s, len| {
+            let t = nbrs[s.slot as usize];
+            let from = if !FAST && t < 0 {
+                zeros.as_ptr()
             } else {
-                src[(t as usize * q + i) * TILE_CELLS + sc as usize]
+                // In frame `t` (checked above): segments stay inside a row.
+                src.as_ptr()
+                    .wrapping_add((t as usize * q + vi) * TILE_CELLS + s.src as usize)
             };
-        }
+            let to = buf
+                .as_mut_ptr()
+                .wrapping_add(i * TILE_CELLS + s.dst as usize);
+            // SAFETY: `to` and `from` address `len` doubles inside `buf`,
+            // a source frame or `zeros` (checked above, plus the segment
+            // plan's `dst + len, src + len ≤ 64`); `buf` is distinct from
+            // both.
+            unsafe { copy_run(to, from, len) };
+        });
     }
 }
 
-/// Direct-addressed pull-stream for a fast-class tile: every neighbour is
-/// allocated, so each merged segment is one unit-stride block copy at a
-/// constant intra-tile offset — no per-cell slot decode, no vacuum branch.
-/// Produces the identical `buf` as [`gather_tile`] on such tiles.
+/// Assert that every allocated neighbour of a tile has a whole `q·64`
+/// frame inside a field of `len` doubles (and, for `FAST`, that every
+/// neighbour is allocated), so the segment copies through `nbrs` stay in
+/// bounds.
 #[inline]
-fn gather_tile_fast(
-    q: usize,
-    gt: &GatherTable,
-    nbrs: &[i32; TILE_NEIGHBORS],
-    src: &[f64],
-    buf: &mut [f64],
-) {
-    for i in 0..q {
-        let out = &mut buf[i * TILE_CELLS..(i + 1) * TILE_CELLS];
-        for s in gt.seg_row(i) {
-            let t = nbrs[s.slot as usize] as usize;
-            let (d, so, len) = (s.dst as usize, s.src as usize, s.len as usize);
-            let lo = (t * q + i) * TILE_CELLS + so;
-            out[d..d + len].copy_from_slice(&src[lo..lo + len]);
+fn check_neighbors<const FAST: bool>(nbrs: &[i32; TILE_NEIGHBORS], q: usize, len: usize) {
+    let frames = len / (q * TILE_CELLS);
+    assert!(
+        nbrs.iter()
+            .all(|&t| if t < 0 { !FAST } else { (t as usize) < frames }),
+        "neighbour tile outside the field"
+    );
+}
+
+/// `len ≤ 64` doubles `src → dst` by inline moves: four at a time, then
+/// the rest. Most segments are 1–3 doubles long (a z-shift splits every
+/// z-line in two), where a `memcpy` call costs far more than the copy.
+///
+/// # Safety
+/// `src` valid for `len` reads, `dst` for `len` writes, not overlapping.
+#[inline(always)]
+unsafe fn copy_run(dst: *mut f64, src: *const f64, len: usize) {
+    let mut k = 0;
+    // SAFETY: every access is below `len`, per the contract.
+    unsafe {
+        while k + 4 <= len {
+            let v = src.add(k).cast::<[f64; 4]>().read_unaligned();
+            dst.add(k).cast::<[f64; 4]>().write_unaligned(v);
+            k += 4;
+        }
+        if len - k >= 2 {
+            let v = src.add(k).cast::<[f64; 2]>().read_unaligned();
+            dst.add(k).cast::<[f64; 2]>().write_unaligned(v);
+            k += 2;
+        }
+        if k < len {
+            *dst.add(k) = *src.add(k);
         }
     }
 }
@@ -460,7 +531,7 @@ pub fn streamed_tile(
     t: usize,
     buf: &mut [f64],
 ) {
-    gather_tile(q, gt, &tiles.neighbors[t], f.as_slice(), buf);
+    gather_tile::<false>(q, gt, &tiles.neighbors[t], f.as_slice(), buf, |i| i);
 }
 
 /// The tile body: BGK/Guo collide on fluid cells (the one cell body of
@@ -750,10 +821,13 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
             if let Some(&t_next) = list.get(idx + 1) {
                 prefetch_next_tile(src, tiles, t_next, frame);
             }
+            // Odd-step pull: `buf[j·64 + c] ← field[(x − c_j, opp(j))]`
+            // (vacuum for unallocated sources, which only ever feeds
+            // discarded solid/deep-ghost outputs).
             if fast {
-                gather_tile_aa_fast(q, &oc.opp, gt, nbrs, src, &mut buf);
+                gather_tile::<true>(q, gt, nbrs, src, &mut buf, |j| oc.opp[j]);
             } else {
-                gather_tile_aa(q, &oc.opp, gt, nbrs, src, &mut buf);
+                gather_tile::<false>(q, gt, nbrs, src, &mut buf, |j| oc.opp[j]);
             }
             let fluid = tiles.tiles[t].fluid;
             let outf = &mut out[..frame];
@@ -764,9 +838,9 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
             // SAFETY: scatter targets are the writer-owned slots above.
             unsafe {
                 if fast {
-                    scatter_tile_aa::<true>(q, &oc.opp, gt, nbrs, fluid, outf, base.0);
+                    scatter_tile_aa::<true>(q, &oc.opp, gt, nbrs, fluid, outf, base.0, total);
                 } else {
-                    scatter_tile_aa::<false>(q, &oc.opp, gt, nbrs, fluid, outf, base.0);
+                    scatter_tile_aa::<false>(q, &oc.opp, gt, nbrs, fluid, outf, base.0, total);
                 }
             }
         }
@@ -774,66 +848,19 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
     drive_tile_lists(&tiles.aa_odd_fast, &tiles.aa_odd_slow, parallel, run);
 }
 
-/// Odd-step pull: `buf[j·64 + c] ← field[(x − c_j, opp(j))]` through the
-/// neighbour table (vacuum for unallocated sources, which only ever feeds
-/// discarded solid/deep-ghost outputs).
-#[inline]
-fn gather_tile_aa(
-    q: usize,
-    opp: &[usize; MAX_Q],
-    gt: &GatherTable,
-    nbrs: &[i32; TILE_NEIGHBORS],
-    src: &[f64],
-    buf: &mut [f64],
-) {
-    for i in 0..q {
-        let row = gt.row(i);
-        let oi = opp[i];
-        let out = &mut buf[i * TILE_CELLS..(i + 1) * TILE_CELLS];
-        for (c, o) in out.iter_mut().enumerate() {
-            let (slot, sc) = row[c];
-            let t = nbrs[slot as usize];
-            *o = if t < 0 {
-                0.0
-            } else {
-                src[(t as usize * q + oi) * TILE_CELLS + sc as usize]
-            };
-        }
-    }
-}
-
-/// Segment-copy variant of [`gather_tile_aa`] for fast-class tiles.
-#[inline]
-fn gather_tile_aa_fast(
-    q: usize,
-    opp: &[usize; MAX_Q],
-    gt: &GatherTable,
-    nbrs: &[i32; TILE_NEIGHBORS],
-    src: &[f64],
-    buf: &mut [f64],
-) {
-    for i in 0..q {
-        let oi = opp[i];
-        let out = &mut buf[i * TILE_CELLS..(i + 1) * TILE_CELLS];
-        for s in gt.seg_row(i) {
-            let t = nbrs[s.slot as usize] as usize;
-            let (d, so, len) = (s.dst as usize, s.src as usize, s.len as usize);
-            let lo = (t * q + oi) * TILE_CELLS + so;
-            out[d..d + len].copy_from_slice(&src[lo..lo + len]);
-        }
-    }
-}
-
-/// Odd-step push: `field[(x + c_i, i)] ← out[i·64 + c]` for the writer
-/// cells. `FAST` scatters the whole tile by segment copies (all cells
-/// fluid, all neighbours allocated); otherwise only fluid writers scatter,
-/// and a `-1` target (deep ghost writer past the halo) is discarded — the
-/// owning rank computes that slot itself.
+/// Odd-step push: `field[(x + c_i, i)] ← out[i·64 + c]` for the fluid
+/// writer cells, through the segment plan of `opp(i)` (whose pull offset is
+/// the push offset of `i`): a segment of all-fluid writers is one copy,
+/// otherwise its fluid writers store one by one. A `-1` target (deep ghost
+/// writer past the halo) is discarded — the owning rank computes that slot
+/// itself. `FAST` (all cells fluid, every neighbour allocated) copies every
+/// segment whole.
 ///
 /// # Safety
 /// Caller must uphold the slot-ownership partition documented on the
 /// section: the written slots belong exclusively to this tile's writers.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 unsafe fn scatter_tile_aa<const FAST: bool>(
     q: usize,
     opp: &[usize; MAX_Q],
@@ -842,41 +869,36 @@ unsafe fn scatter_tile_aa<const FAST: bool>(
     fluid: u64,
     out: &[f64],
     base: *mut f64,
+    total: usize,
 ) {
+    assert!(out.len() >= q * TILE_CELLS, "scatter frame too short");
+    check_neighbors::<FAST>(nbrs, q, total);
     for i in 0..q {
-        let oi = opp[i];
-        if FAST {
-            for s in gt.seg_row(oi) {
-                let t = nbrs[s.slot as usize] as usize;
-                let (d, so, len) = (s.dst as usize, s.src as usize, s.len as usize);
-                let lo = (t * q + i) * TILE_CELLS + so;
-                // SAFETY: in-bounds by the frame layout; exclusivity per
-                // the function contract.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        out.as_ptr().add(i * TILE_CELLS + d),
-                        base.add(lo),
-                        len,
-                    );
+        gt.for_each_seg(opp[i], |s, len| {
+            let t = nbrs[s.slot as usize];
+            if !FAST && t < 0 {
+                return;
+            }
+            let d = s.dst as usize;
+            let from = out.as_ptr().wrapping_add(i * TILE_CELLS + d);
+            let to = base.wrapping_add((t as usize * q + i) * TILE_CELLS + s.src as usize);
+            let seg = (u64::MAX >> (TILE_CELLS - len)) << d;
+            let mut writers = fluid & seg;
+            // SAFETY: `len` doubles from `from` lie in `out` and from `to`
+            // in frame `t` (checked above, plus the segment plan's bounds);
+            // exclusivity per the function contract.
+            unsafe {
+                if FAST || writers == seg {
+                    copy_run(to, from, len);
+                    return;
+                }
+                while writers != 0 {
+                    let c = writers.trailing_zeros() as usize - d;
+                    writers &= writers - 1;
+                    *to.add(c) = *from.add(c);
                 }
             }
-        } else {
-            let row = gt.row(oi);
-            let mut bits = fluid;
-            while bits != 0 {
-                let c = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let (slot, sc) = row[c];
-                let t = nbrs[slot as usize];
-                if t >= 0 {
-                    // SAFETY: as above.
-                    unsafe {
-                        *base.add((t as usize * q + i) * TILE_CELLS + sc as usize) =
-                            out[i * TILE_CELLS + c];
-                    }
-                }
-            }
-        }
+        });
     }
 }
 
@@ -1436,8 +1458,15 @@ mod tests {
             LatticeKind::D3Q27,
             LatticeKind::D3Q39,
         ] {
-            let gt = GatherTable::new(&Lattice::new(kind));
+            let lat = Lattice::new(kind);
+            let gt = GatherTable::new(&lat);
             for i in 0..gt.q {
+                // Exactly the z-shifted velocities take the fixed-split path.
+                assert_eq!(
+                    gt.split[i] != 0,
+                    lat.velocities()[i][2] != 0,
+                    "{kind:?} i={i}"
+                );
                 let row = gt.row(i);
                 let mut covered = 0usize;
                 for s in gt.seg_row(i) {
@@ -1593,7 +1622,7 @@ mod tests {
                 if fluid == 0 {
                     continue;
                 }
-                gather_tile(q, &gt, &tiles.neighbors[t], f.as_slice(), &mut buf);
+                gather_tile::<false>(q, &gt, &tiles.neighbors[t], f.as_slice(), &mut buf, |i| i);
                 let frame = aa.frame(t);
                 for c in 0..TILE_CELLS {
                     if fluid & (1 << c) == 0 {
